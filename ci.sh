@@ -199,6 +199,24 @@ EOF
 fi
 rm -f "$fuzz_json"
 
+# Repository-benchmark gate (perfbench/README.md): every workload runs
+# briefly and each program's result must match its independent
+# reference — `Interp` checksums (kernels-hot), `run_interp`
+# (fuzz-cold) and the CAS closed form (cas-ladder) — so the simulator's
+# fast paths are checked end to end. The last line is the JSON summary.
+for workload in kernels-hot fuzz-cold cas-ladder; do
+    summary="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    if command -v jq > /dev/null 2>&1; then
+        printf '%s\n' "$summary" | jq -e '.correct == true and .failed == 0' > /dev/null
+    else
+        printf '%s\n' "$summary" | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True and doc["failed"] == 0, doc'
+    fi
+done
+
 # Remaining figure binaries, CI-sized: every figure in the paper's
 # evaluation gets exercised, not just fig12.
 cargo run -q --release -p risotto-bench --bin fig13_openssl_sqlite -- --smoke > /dev/null

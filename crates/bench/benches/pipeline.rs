@@ -116,6 +116,31 @@ fn bench_machine() {
         m.start_core(0, code);
         assert_eq!(m.run(1_000_000), Event::AllHalted);
     });
+    // The memory side: 4 cores each load, bump and store a private env
+    // slot, then `DMB FF` — 7 instructions × 3,571 iterations × 4 cores.
+    bench("machine_mem_4core_100k_steps", 20, || {
+        use risotto_host_arm::{Dmb, MemOrder};
+        let mut m = Machine::new(4, CostModel::thunderx2_like());
+        let code = m.install_code(&[
+            HostInsn::MovImm { dst: Xreg(0), imm: 3_571 },
+            // loop:
+            HostInsn::Ldr { dst: Xreg(1), base: Xreg(20), off: 8, order: MemOrder::Plain },
+            HostInsn::AluImm { op: AOp::Add, dst: Xreg(1), a: Xreg(1), imm: 1 },
+            HostInsn::Str { src: Xreg(1), base: Xreg(20), off: 8, order: MemOrder::Plain },
+            HostInsn::Barrier(Dmb::Ff),
+            HostInsn::AluImm { op: AOp::Sub, dst: Xreg(0), a: Xreg(0), imm: 1 },
+            HostInsn::CmpImm { a: Xreg(0), imm: 0 },
+            // 8+12+8+2+12+10+6 = 58 bytes back to the Ldr.
+            HostInsn::BCond { cond: ACond::Ne, rel: -58 },
+            HostInsn::Hlt,
+        ]);
+        for core in 0..4 {
+            m.set_reg(core, Xreg(20), 0x10_0000 + 0x1000 * core as u64);
+            m.start_core(core, code);
+        }
+        assert_eq!(m.run(1_000_000), Event::AllHalted);
+        assert_eq!(m.mem.read_u64(0x10_0008), 3_571);
+    });
 }
 
 /// Runs the 16 Fig. 12 kernels end-to-end under the risotto setup and

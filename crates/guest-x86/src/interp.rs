@@ -12,13 +12,47 @@ use crate::insn::{syscalls, Insn, Operand};
 use crate::regs::{Flags, Gpr};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE: usize = 4096;
+
+/// A `HashMap` keyed by integers, hashed with [`IntHasher`] instead of
+/// SipHash. For maps probed on every simulated memory access.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A multiplicative hasher for integer keys: one multiply by an odd
+/// constant, then a rotate so the bucket index (the low bits) depends on
+/// every key bit — page numbers and 8-aligned addresses both spread.
+/// Unlike SipHash it does not resist crafted collisions; a guest that
+/// crafts colliding addresses only slows its own emulation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Sparse byte-addressed guest memory (zero-filled on first touch).
 #[derive(Debug, Clone, Default)]
 pub struct SparseMem {
-    pages: HashMap<u64, Box<[u8; PAGE]>>,
+    pages: IntMap<u64, Box<[u8; PAGE]>>,
+}
+
+/// Splits an address into (page number, offset in page).
+fn split(addr: u64) -> (u64, usize) {
+    (addr / PAGE as u64, (addr % PAGE as u64) as usize)
 }
 
 impl SparseMem {
@@ -27,22 +61,32 @@ impl SparseMem {
         SparseMem::default()
     }
 
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE] {
+        self.pages.entry(page).or_insert_with(|| Box::new([0u8; PAGE]))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr / PAGE as u64)) {
-            Some(p) => p[(addr % PAGE as u64) as usize],
-            None => 0,
-        }
+        let (page, off) = split(addr);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        let page = self.pages.entry(addr / PAGE as u64).or_insert_with(|| Box::new([0u8; PAGE]));
-        page[(addr % PAGE as u64) as usize] = val;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = val;
     }
 
     /// Reads a little-endian u64 (unaligned allowed).
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let (page, off) = split(addr);
+        if off <= PAGE - 8 {
+            return self
+                .pages
+                .get(&page)
+                .map_or(0, |p| u64::from_le_bytes(p[off..off + 8].try_into().unwrap()));
+        }
+        // Straddles two pages: compose byte by byte.
         let mut b = [0u8; 8];
         for (i, slot) in b.iter_mut().enumerate() {
             *slot = self.read_u8(addr + i as u64);
@@ -52,15 +96,24 @@ impl SparseMem {
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
+        let (page, off) = split(addr);
+        if off <= PAGE - 8 {
+            self.page_mut(page)[off..off + 8].copy_from_slice(&val.to_le_bytes());
+            return;
+        }
         for (i, byte) in val.to_le_bytes().iter().enumerate() {
             self.write_u8(addr + i as u64, *byte);
         }
     }
 
-    /// Copies a byte slice in.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+    /// Copies a byte slice in, one page lookup per page touched.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (page, off) = split(addr);
+            let n = bytes.len().min(PAGE - off);
+            self.page_mut(page)[off..off + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
@@ -610,6 +663,54 @@ mod tests {
             let mut i = Interp::new(&bin);
             i.run_seeded(1_000_000, seed).unwrap();
             assert_eq!(i.exit_val(0), 200, "seed {seed}");
+        }
+    }
+
+    /// Seeded property: the one-page u64 fast paths agree with the
+    /// byte-wise composition at every offset 4080..=4095 (the last
+    /// one-page offset is 4088) and at random addresses; reads of
+    /// unmapped memory return 0 and never create a page.
+    #[test]
+    fn u64_access_matches_bytewise_composition() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bytewise = |m: &SparseMem, a: u64| {
+            u64::from_le_bytes(std::array::from_fn(|i| m.read_u8(a + i as u64)))
+        };
+        let mut addrs: Vec<u64> = (4080..4096).map(|off| 7 * PAGE as u64 + off).collect();
+        addrs.extend((0..500).map(|_| 8 + next() % (1 << 40)));
+        for a in addrs {
+            let (v, old) = (next(), next());
+            let mut fast = SparseMem::new();
+            let mut slow = SparseMem::new();
+            // Surround the target with known bytes so a stray or short
+            // write shows up in the neighbourhood comparison.
+            for i in 0..24 {
+                fast.write_u8(a - 8 + i, (old >> (i % 8 * 8)) as u8);
+                slow.write_u8(a - 8 + i, (old >> (i % 8 * 8)) as u8);
+            }
+            assert_eq!(fast.read_u64(a), bytewise(&slow, a), "read at {a:#x}");
+            fast.write_u64(a, v);
+            for (i, b) in v.to_le_bytes().iter().enumerate() {
+                slow.write_u8(a + i as u64, *b);
+            }
+            for i in 0..24 {
+                assert_eq!(fast.read_u8(a - 8 + i), slow.read_u8(a - 8 + i), "write at {a:#x}");
+            }
+            assert_eq!(fast.read_u64(a), v);
+
+            let pages = fast.pages.len();
+            let far = a ^ (1 << 45);
+            assert_eq!(fast.read_u64(far), 0, "unmapped read at {far:#x}");
+            assert_eq!(fast.pages.len(), pages, "a read must not create a page");
+            let empty = SparseMem::new();
+            assert_eq!(empty.read_u64(a), 0);
+            assert!(empty.pages.is_empty());
         }
     }
 

@@ -54,5 +54,5 @@ pub use gelf::{
     STACK_TOP, TEXT_BASE,
 };
 pub use insn::{disassemble, syscalls, AluOp, DecodeError, FpOp, Insn, Operand};
-pub use interp::{Interp, InterpError, SparseMem};
+pub use interp::{IntHasher, IntMap, Interp, InterpError, SparseMem};
 pub use regs::{Cond, Flags, Gpr};

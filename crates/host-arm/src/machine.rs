@@ -18,7 +18,7 @@ use crate::cost::CostModel;
 #[cfg(test)]
 use crate::insn::ACond;
 use crate::insn::{AOp, Dmb, HostInsn, MemOrder, Nzcv, TbExitKind, Xreg, JUMP_CHAIN_OFFSET};
-use risotto_guest_x86::{softfloat, SparseMem};
+use risotto_guest_x86::{softfloat, IntMap, SparseMem};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Base address where translated host code lives (outside guest ranges).
@@ -275,12 +275,15 @@ pub struct Machine {
     pub mem: SparseMem,
     cores: Vec<Core>,
     code: Vec<u8>,
-    decode_cache: HashMap<u64, (HostInsn, u16)>,
+    /// Pre-decoded instructions, indexed by `code` offset (same length
+    /// as `code`); `None` until first fetched. Every write into `code`
+    /// clears the entries it overlaps (see DESIGN.md §6).
+    decoded: Vec<Option<(HostInsn, u16)>>,
     tb_map: HashMap<u64, u64>,
     natives: Vec<NativeFn>,
     cost: CostModel,
     /// Recent RMW sites for the contention model: addr → (cycle, core).
-    rmw_history: HashMap<u64, Vec<(u64, usize)>>,
+    rmw_history: IntMap<u64, Vec<(u64, usize)>>,
     total_steps: u64,
     sched: SchedPolicy,
     sched_state: u64,
@@ -339,11 +342,11 @@ impl Machine {
                 })
                 .collect(),
             code: Vec::new(),
-            decode_cache: HashMap::new(),
+            decoded: Vec::new(),
             tb_map: HashMap::new(),
             natives: Vec::new(),
             cost,
-            rmw_history: HashMap::new(),
+            rmw_history: IntMap::default(),
             total_steps: 0,
             sched: SchedPolicy::Deterministic,
             sched_state: 0x243F_6A88_85A3_08D3,
@@ -487,6 +490,7 @@ impl Machine {
                 self.cache_stats.region_reuses += 1;
                 let (off, len) = self.free_list.swap_remove(slot);
                 self.code[off..off + bytes.len()].copy_from_slice(&bytes);
+                self.forget_decoded(off, bytes.len());
                 if len > bytes.len() {
                     self.free_list.push((off + bytes.len(), len - bytes.len()));
                 }
@@ -495,6 +499,7 @@ impl Machine {
             None => {
                 let off = self.code.len();
                 self.code.extend_from_slice(&bytes);
+                self.decoded.resize(self.code.len(), None);
                 CODE_BASE + off as u64
             }
         };
@@ -595,12 +600,19 @@ impl Machine {
     }
 
     /// Writes `target` into the chain word of the `ExitTb(Jump)` encoded
-    /// at host pc `site` and drops the now-stale decode-cache entry.
+    /// at host pc `site` and drops the now-stale pre-decoded entries.
     fn patch_chain(&mut self, site: u64, target: u64) {
-        let off = (site - CODE_BASE) as usize + JUMP_CHAIN_OFFSET;
+        let start = (site - CODE_BASE) as usize;
+        let off = start + JUMP_CHAIN_OFFSET;
         debug_assert!(off + 8 <= self.code.len(), "chain site outside code");
         self.code[off..off + 8].copy_from_slice(&target.to_le_bytes());
-        self.decode_cache.remove(&site);
+        self.forget_decoded(start, JUMP_CHAIN_OFFSET + 8);
+    }
+
+    /// Drops the pre-decoded entries of the `len` code bytes at offset
+    /// `off` (called whenever those bytes change).
+    fn forget_decoded(&mut self, off: usize, len: usize) {
+        self.decoded[off..off + len].fill(None);
     }
 
     /// Un-patches every chain slot currently pointing at `guest_pc`'s
@@ -652,11 +664,11 @@ impl Machine {
         self.cores.iter().any(|c| c.started && !c.halted && c.pc >= start && c.pc < end)
     }
 
-    /// Actually reclaims a region: purges decode-cache entries and
+    /// Actually reclaims a region: purges pre-decoded entries and
     /// recorded chain sites inside it, then adds it to the free list.
     fn do_free(&mut self, start: u64, len: usize) {
         let end = start + len as u64;
-        self.decode_cache.retain(|&pc, _| pc < start || pc >= end);
+        self.forget_decoded((start - CODE_BASE) as usize, len);
         // Chain sites *inside* the dead body must be forgotten, or a later
         // unmap of their target would patch bytes that now belong to a
         // different translation.
@@ -715,10 +727,9 @@ impl Machine {
         if offset >= len {
             return false;
         }
-        let off = (host_start - CODE_BASE) as usize + offset;
-        self.code[off] ^= 0xff;
-        let end = host_start + len as u64;
-        self.decode_cache.retain(|&pc, _| pc < host_start || pc >= end);
+        let start = (host_start - CODE_BASE) as usize;
+        self.code[start + offset] ^= 0xff;
+        self.forget_decoded(start, len);
         true
     }
 
@@ -839,6 +850,9 @@ impl Machine {
     }
 
     fn drain_aged(&mut self, core: usize) {
+        if self.cores[core].store_buffer.is_empty() {
+            return;
+        }
         let now = self.cores[core].cycles;
         while let Some(&(a, v, t)) = self.cores[core].store_buffer.front() {
             if now.saturating_sub(t) < DRAIN_AGE
@@ -860,19 +874,6 @@ impl Machine {
         }
     }
 
-    /// Reads for core `core`: forwards from its own store buffer, else
-    /// global memory.
-    fn read_for(&self, core: usize, addr: u64) -> u64 {
-        let c = &self.cores[core];
-        for &(a, v, _) in c.store_buffer.iter().rev() {
-            if a == addr {
-                return v;
-            }
-            // Overlapping-but-unequal: conservative callers drain first.
-        }
-        self.mem.read_u64(addr)
-    }
-
     fn buffered_overlap(&self, core: usize, addr: u64) -> bool {
         self.cores[core].store_buffer.iter().any(|&(a, _, _)| a != addr && a.abs_diff(addr) < 8)
     }
@@ -886,43 +887,70 @@ impl Machine {
         let window = self.cost.contend_window;
         let hist = self.rmw_history.entry(addr & !7).or_default();
         hist.retain(|&(t, _)| now.saturating_sub(t) <= window);
-        let others: std::collections::HashSet<usize> =
-            hist.iter().filter(|&&(_, c)| c != core).map(|&(_, c)| c).collect();
+        // Distinct other cores: count each at its first occurrence.
+        let others = (0..hist.len())
+            .filter(|&i| {
+                let c = hist[i].1;
+                c != core && hist[..i].iter().all(|&(_, d)| d != c)
+            })
+            .count();
         hist.push((now, core));
         let jitter = self.cores[core].next_jitter();
-        base + self.cost.atomic_contend * others.len() as u64 + jitter
+        base + self.cost.atomic_contend * others as u64 + jitter
     }
 
     /// Runs until an [`Event`] occurs, executing at most `fuel` steps.
+    ///
+    /// The picked core keeps running while it would be picked again,
+    /// i.e. while its clock stays below the limit `pick_core` returned.
+    /// Stepping one core never changes another core's clock or run
+    /// state, so this is exactly the step-by-step schedule.
     pub fn run(&mut self, fuel: u64) -> Event {
         let mut budget = fuel;
         loop {
-            let core = match self.pick_core() {
-                Some(c) => c,
-                None => return Event::AllHalted,
+            let Some((core, limit)) = self.pick_core() else {
+                return Event::AllHalted;
             };
-            if budget == 0 {
-                return Event::OutOfFuel;
-            }
-            budget -= 1;
-            if let Some(ev) = self.step(core) {
-                return ev;
+            loop {
+                if budget == 0 {
+                    return Event::OutOfFuel;
+                }
+                budget -= 1;
+                if let Some(ev) = self.step(core) {
+                    return ev;
+                }
+                let c = &self.cores[core];
+                if c.halted || c.cycles >= limit {
+                    break;
+                }
             }
         }
     }
 
-    /// Picks the next runnable core per the scheduling policy.
-    fn pick_core(&mut self) -> Option<usize> {
+    /// Picks the next runnable core per the scheduling policy, with the
+    /// clock below which it may keep running before the next pick. Only
+    /// the deterministic policy runs a quantum; the others return limit
+    /// 0 and re-pick after every step.
+    fn pick_core(&mut self) -> Option<(usize, u64)> {
         let runnable = |c: &Core| c.started && !c.halted;
         match self.sched {
             SchedPolicy::Deterministic => {
-                let mut pick: Option<usize> = None;
-                for (i, c) in self.cores.iter().enumerate() {
-                    if runnable(c) && pick.is_none_or(|p| c.cycles < self.cores[p].cycles) {
-                        pick = Some(i);
+                // Smallest and second-smallest `(cycles, index)` keys. The
+                // winner stays smallest while its clock is below the
+                // runner-up's, or equal to it if the winner's index is lower.
+                const NONE: (u64, usize) = (u64::MAX, usize::MAX);
+                let (mut best, mut runner_up) = (NONE, NONE);
+                for (i, c) in self.cores.iter().enumerate().filter(|(_, c)| runnable(c)) {
+                    let key = (c.cycles, i);
+                    if key < best {
+                        runner_up = best;
+                        best = key;
+                    } else if key < runner_up {
+                        runner_up = key;
                     }
                 }
-                pick
+                let limit = runner_up.0.saturating_add(u64::from(best.1 < runner_up.1));
+                (best != NONE).then_some((best.1, limit))
             }
             SchedPolicy::Adversarial => {
                 let mut pick: Option<usize> = None;
@@ -931,17 +959,11 @@ impl Machine {
                         pick = Some(i);
                     }
                 }
-                pick
+                pick.map(|p| (p, 0))
             }
             SchedPolicy::Random(_) => {
-                let ids: Vec<usize> = self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| runnable(c))
-                    .map(|(i, _)| i)
-                    .collect();
-                if ids.is_empty() {
+                let n = self.cores.iter().filter(|c| runnable(c)).count();
+                if n == 0 {
                     return None;
                 }
                 let mut x = self.sched_state;
@@ -949,7 +971,9 @@ impl Machine {
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.sched_state = x;
-                Some(ids[(x % ids.len() as u64) as usize])
+                let k = (x % n as u64) as usize;
+                let pick = self.cores.iter().enumerate().filter(|(_, c)| runnable(c)).nth(k);
+                pick.map(|(i, _)| (i, 0))
             }
         }
     }
@@ -957,17 +981,13 @@ impl Machine {
     /// Decodes (with caching) at a host pc. `None` on undecodable bytes
     /// or a pc outside the installed code cache.
     fn fetch(&mut self, pc: u64) -> Option<(HostInsn, u16)> {
-        if let Some(&hit) = self.decode_cache.get(&pc) {
-            return Some(hit);
-        }
         let off = usize::try_from(pc.checked_sub(CODE_BASE)?).ok()?;
-        if off >= self.code.len() {
-            return None;
+        let slot = self.decoded.get_mut(off)?;
+        if slot.is_none() {
+            let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
+            *slot = Some((insn, len as u16));
         }
-        let (insn, len) = HostInsn::decode(&self.code[off..]).ok()?;
-        let entry = (insn, len as u16);
-        self.decode_cache.insert(pc, entry);
-        Some(entry)
+        *slot
     }
 
     /// Executes one instruction on `core`; returns an event if the machine
@@ -1001,10 +1021,24 @@ impl Machine {
             }
             Ldr { dst, base, off, order } => {
                 let addr = self.cores[core].get(base).wrapping_add(off as i64 as u64);
-                if self.buffered_overlap(core, addr) {
-                    self.drain_all(core);
+                // One newest-first scan: forward the newest exact match,
+                // unless some entry overlaps `addr` without equalling it —
+                // then drain the buffer and read memory.
+                let mut hit = None;
+                let mut overlap = false;
+                for &(a, v, _) in self.cores[core].store_buffer.iter().rev() {
+                    if a == addr {
+                        hit = hit.or(Some(v));
+                    } else if a.abs_diff(addr) < 8 {
+                        overlap = true;
+                        break;
+                    }
                 }
-                let v = self.read_for(core, addr);
+                if overlap {
+                    self.drain_all(core);
+                    hit = None;
+                }
+                let v = hit.unwrap_or_else(|| self.mem.read_u64(addr));
                 self.cores[core].set(dst, v);
                 self.cores[core].cycles +=
                     cost.load + if order == MemOrder::Plain { 0 } else { cost.acq_rel_extra };
@@ -1456,6 +1490,25 @@ mod tests {
         assert_eq!(m.reg(0, Xreg(3)), 99);
         assert_eq!(m.mem.read_u64(0x5000), 99, "DMB FF drained the buffer");
         assert_eq!(m.stats(0).dmb[Dmb::Ff as usize], 1);
+    }
+
+    #[test]
+    fn ldr_drains_an_overlapping_buffered_store() {
+        use HostInsn::*;
+        let (mut m, a) = machine_with(&[
+            MovImm { dst: Xreg(1), imm: 0x5000 },
+            MovImm { dst: Xreg(2), imm: 0x1111_1111_1111_1111 },
+            MovImm { dst: Xreg(3), imm: 0x2222_2222_2222_2222 },
+            Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
+            Str { src: Xreg(3), base: Xreg(1), off: 4, order: MemOrder::Plain },
+            // The exact match at 0x5000 is older than the overlapping
+            // store at 0x5004: forwarding it would miss the upper half.
+            Ldr { dst: Xreg(4), base: Xreg(1), off: 0, order: MemOrder::Plain },
+            Hlt,
+        ]);
+        m.start_core(0, a);
+        m.run(100);
+        assert_eq!(m.reg(0, Xreg(4)), 0x2222_2222_1111_1111);
     }
 
     #[test]
@@ -1927,6 +1980,139 @@ mod tests {
             m.map_tb(0x1000, b);
         }
         assert_eq!(m.code_size(), size, "churn must not grow the code buffer");
+    }
+
+    /// `n` NOPs, one `ldaddal` on 0x5000, halt.
+    fn nops_then_atomic(m: &mut Machine, n: usize) -> u64 {
+        use HostInsn::*;
+        let mut code = vec![MovImm { dst: Xreg(1), imm: 0x5000 }];
+        code.extend(std::iter::repeat_n(Nop, n));
+        code.push(MovImm { dst: Xreg(2), imm: 1 });
+        code.push(LdaddAl { old: Xreg(0), addend: Xreg(2), addr: Xreg(1) });
+        code.push(Hlt);
+        m.install_code(&code)
+    }
+
+    #[test]
+    fn equal_clocks_run_lowest_index_first() {
+        for (n0, n1, order) in [(3, 3, [0, 1]), (4, 3, [1, 0]), (3, 4, [0, 1])] {
+            let mut m = Machine::new(2, CostModel::uniform());
+            m.set_atomic_log(true);
+            let a = nops_then_atomic(&mut m, n0);
+            let b = nops_then_atomic(&mut m, n1);
+            m.start_core(0, a);
+            m.start_core(1, b);
+            assert_eq!(m.run(1000), Event::AllHalted);
+            let cores: Vec<usize> = m.take_atomic_log().iter().map(|e| e.core).collect();
+            assert_eq!(cores, order, "nops ({n0}, {n1})");
+        }
+    }
+
+    #[test]
+    fn run_quantum_matches_single_steps() {
+        // Contended CASes and racy plain increments under the jittered
+        // cost model, whose results depend on the exact interleaving.
+        // `run(1)` re-picks before every step: the step-by-step schedule.
+        let go = |quantum: bool| {
+            let mut m = Machine::new(4, CostModel::thunderx2_like());
+            m.set_atomic_log(true);
+            for (core, skew) in [0, 0, 3, 40].into_iter().enumerate() {
+                let body = cas_loop(&mut m, 0x5000, 50);
+                m.start_core(core, body);
+                m.add_cycles(core, skew);
+            }
+            if quantum {
+                assert_eq!(m.run(1_000_000), Event::AllHalted);
+            } else {
+                while m.run(1) == Event::OutOfFuel {}
+            }
+            let cores: Vec<(u64, u64)> =
+                (0..4).map(|c| (m.core_cycles(c), m.reg(c, Xreg(5)))).collect();
+            let words = (m.mem.read_u64(0x5000), m.mem.read_u64(0x5008));
+            (m.take_atomic_log(), cores, m.total_steps(), words)
+        };
+        let (log, cores, steps, words) = go(true);
+        assert_eq!(words.0, 200);
+        assert!(words.1 < 200, "some racy increments are lost");
+        assert_eq!((log, cores, steps, words), go(false));
+    }
+
+    /// `iters` increments of the word at `addr` by an `ldr`/`casal` loop,
+    /// each followed by a racy plain increment of the word at `addr + 8`.
+    fn cas_loop(m: &mut Machine, addr: u64, iters: u64) -> u64 {
+        use HostInsn::*;
+        m.install_code(&[
+            MovImm { dst: Xreg(1), imm: addr },
+            MovImm { dst: Xreg(4), imm: iters },
+            // loop:
+            Ldr { dst: Xreg(0), base: Xreg(1), off: 0, order: MemOrder::Plain },
+            MovReg { dst: Xreg(2), src: Xreg(0) },
+            AluImm { op: AOp::Add, dst: Xreg(2), a: Xreg(2), imm: 1 },
+            MovReg { dst: Xreg(3), src: Xreg(0) },
+            Cas { cmp_old: Xreg(3), new: Xreg(2), addr: Xreg(1), acq_rel: true },
+            Cmp { a: Xreg(3), b: Xreg(0) },
+            // 8+3+12+3+5+3+6 = 40 bytes back to the Ldr on a lost race.
+            BCond { cond: ACond::Ne, rel: -40 },
+            Ldr { dst: Xreg(5), base: Xreg(1), off: 8, order: MemOrder::Plain },
+            AluImm { op: AOp::Add, dst: Xreg(5), a: Xreg(5), imm: 1 },
+            Str { src: Xreg(5), base: Xreg(1), off: 8, order: MemOrder::Plain },
+            AluImm { op: AOp::Sub, dst: Xreg(4), a: Xreg(4), imm: 1 },
+            CmpImm { a: Xreg(4), imm: 0 },
+            // 40+8+12+8+12+10+6 = 96 bytes back on a remaining iteration.
+            BCond { cond: ACond::Ne, rel: -96 },
+            Hlt,
+        ])
+    }
+
+    #[test]
+    fn rewritten_code_is_never_run_from_stale_decodes() {
+        use HostInsn::*;
+        let mut m = Machine::new(1, CostModel::uniform());
+        let run_from = |m: &mut Machine, at: u64| {
+            m.start_core(0, at);
+            m.run(100)
+        };
+
+        // Region reuse: a same-length block installed into the freed hole
+        // of an executed one runs its own instructions.
+        let a = m.install_code(&[MovImm { dst: Xreg(1), imm: 1 }, ExitTb(TbExitKind::Halt)]);
+        m.map_tb(0x1000, a);
+        assert_eq!(run_from(&mut m, a), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 1);
+        assert!(m.unmap_tb(0x1000));
+        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 2 }, ExitTb(TbExitKind::Halt)]);
+        assert_eq!(b, a, "the freed hole is reused");
+        assert_eq!(run_from(&mut m, b), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 2, "stale decode of the old block ran");
+
+        // Chain re-patch: an executed, patched chain site is relinked when
+        // its target moves, and the next traversal follows the new word.
+        let site = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
+        let t1 = m.install_code(&[MovImm { dst: Xreg(1), imm: 10 }, ExitTb(TbExitKind::Halt)]);
+        m.map_tb(0x2000, t1);
+        for _ in 0..2 {
+            assert_eq!(run_from(&mut m, site), Event::AllHalted);
+            assert_eq!(m.reg(0, Xreg(1)), 10);
+        }
+        assert_eq!(m.chain_stats().chain_hits, 1, "the patched slot was executed");
+        let t2 = m.install_code(&[MovImm { dst: Xreg(1), imm: 11 }, Nop, ExitTb(TbExitKind::Halt)]);
+        m.map_tb(0x2000, t2);
+        assert_eq!(run_from(&mut m, site), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 11, "the stale chain word was followed");
+        assert_eq!(m.chain_stats().chain_links, 2);
+        assert!(m.validate_chains().is_empty());
+
+        // Corruption of an executed region: flipping the immediate's low
+        // byte must show, not the cached pre-corruption instruction.
+        assert!(m.corrupt_code_byte(t2, 2));
+        assert_eq!(run_from(&mut m, t2), Event::AllHalted);
+        assert_eq!(m.reg(0, Xreg(1)), 11 ^ 0xff);
+        // Corrupting the opcode makes the same pc undecodable.
+        assert!(m.corrupt_code_byte(t2, 0));
+        assert_eq!(
+            run_from(&mut m, t2),
+            Event::HostFault { core: 0, host_pc: t2, kind: HostFaultKind::Decode }
+        );
     }
 
     #[test]
