@@ -203,10 +203,15 @@ rm -f "$fuzz_json"
 # briefly and each program's result must match its independent
 # reference — `Interp` checksums (kernels-hot), `run_interp`
 # (fuzz-cold) and the CAS closed form (cas-ladder) — so the simulator's
-# fast paths are checked end to end. The last line is the JSON summary.
-for workload in kernels-hot fuzz-cold cas-ladder; do
+# fast paths are checked end to end. The `--trace 1` runs of the two
+# translation-heavy workloads also check that a traced run's counters
+# equal an untraced run's and replay every translated block through
+# verifier Passes 1-3: the contract of the staged translate pipeline.
+# The last line is the JSON summary.
+for run in "kernels-hot 0" "fuzz-cold 0" "cas-ladder 0" "fuzz-cold 1" "cas-ladder 1"; do
+    set -- $run
     summary="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+        --workload "$1" --seed 1 --seconds 2 --trace "$2" | tail -n 1)"
     if command -v jq > /dev/null 2>&1; then
         printf '%s\n' "$summary" | jq -e '.correct == true and .failed == 0' > /dev/null
     else

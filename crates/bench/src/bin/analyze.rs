@@ -15,6 +15,7 @@
 
 use risotto_analysis::{analyze_image, AnalysisSummary, ImageFacts};
 use risotto_bench::BenchCli;
+use risotto_core::obs::json_escape;
 use risotto_guest_x86::GuestBinary;
 use risotto_litmus::corpus;
 use risotto_workloads::{kernels, litmus_compile::compile_litmus};
@@ -31,10 +32,6 @@ fn analyze_named(name: &str, bin: &GuestBinary) -> Row {
     let facts = analyze_image(bin);
     let summary = facts.summary();
     Row { name: name.to_owned(), facts, summary }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl Row {

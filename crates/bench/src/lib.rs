@@ -494,11 +494,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a ratio as a percentage string.
-pub fn pct(part: u64, whole: u64) -> String {
-    format!("{:.1}%", 100.0 * part as f64 / whole as f64)
-}
-
 /// Formats a speedup.
 pub fn speedup(base: u64, new: u64) -> String {
     format!("{:.2}x", base as f64 / new as f64)

@@ -25,7 +25,7 @@
 
 use crate::faults::{FaultPlan, FaultSite};
 use crate::idl::Idl;
-use crate::obs::{HotTb, MetricsSnapshot, NullSink, Obs, TraceSink, TraceStage};
+use crate::obs::{HotTb, MetricsSnapshot, Obs, TraceSink, TraceStage};
 use risotto_analysis::{analyze_image, content_hash, event_sites, ir_hints, ImageFacts};
 use risotto_guest_x86::{
     syscalls, AluOp, Flags, Gpr, GuestBinary, Insn, Operand, DATA_BASE, STACK_SIZE, STACK_TOP,
@@ -43,7 +43,7 @@ use risotto_tcg::{
     FrontendConfig, HintStats, OptPolicy, OptStats, PassConfig, TbExit, TcgBlock, TcgOp,
     TranslateError, VerifyError, VerifyPass,
 };
-use risotto_template::{translate_block_template, TemplateError};
+use risotto_template::{translate_block_template, TemplateBlock, TemplateError};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -90,6 +90,21 @@ fn cached_analysis(bin: &GuestBinary) -> (Arc<ImageFacts>, bool) {
     let facts = Arc::new(analyze_image(bin));
     map.insert(hash, Arc::clone(&facts));
     (facts, false)
+}
+
+/// The 16-byte instruction window at `pc` of the `.text` bytes mapped at
+/// [`TEXT_BASE`], zero-padded outside them.
+fn window(text: &[u8], pc: u64) -> [u8; 16] {
+    let mut w = [0u8; 16];
+    let rest = pc
+        .checked_sub(TEXT_BASE)
+        .and_then(|off| usize::try_from(off).ok())
+        .and_then(|off| text.get(off..));
+    if let Some(rest) = rest {
+        let n = rest.len().min(16);
+        w[..n].copy_from_slice(&rest[..n]);
+    }
+    w
 }
 
 /// The evaluation setups of §7.1.
@@ -635,6 +650,23 @@ enum TbFault {
     Quarantined,
 }
 
+/// A translation tier: which variant of each stage
+/// [`Emulator::translate`] runs (DESIGN.md §6).
+enum Tier {
+    /// Tier 0: IR-less template instantiation — decode and lower are one
+    /// stage, with no optimizer or static verifier.
+    Template,
+    /// Tier 1: the full IR pipeline over one guest block.
+    Ir,
+    /// Tier 2: the selected trace of tier-1 blocks (head first),
+    /// stitched into one superblock and optimized as a region.
+    Superblock(Vec<TcgBlock>),
+}
+
+/// The trace event a pipeline stage emits, if any, with the function
+/// that describes the stage's output in the event's detail.
+type StageEvent<'a, T> = Option<(TraceStage, &'a dyn Fn(&T) -> String)>;
+
 /// How much of the static translation validator runs (docs/VERIFIER.md).
 ///
 /// The validator is a pure observer: no level changes cycle counts,
@@ -730,11 +762,6 @@ impl Quarantine {
     /// Clears `pc` (a successful translation ends its quarantine).
     fn clear(&mut self, pc: u64) {
         self.map.remove(&pc);
-    }
-
-    /// Number of tracked pcs (always ≤ [`QUARANTINE_CAPACITY`]).
-    fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -964,11 +991,6 @@ impl Emulator {
         self.verify = level;
     }
 
-    /// The active translation-verifier level.
-    pub fn verify_level(&self) -> VerifyLevel {
-        self.verify
-    }
-
     /// Enables or disables whole-program analysis-driven fence
     /// relaxation (docs/ANALYSIS.md). Facts are computed once per
     /// distinct image and cached process-wide keyed by [`content_hash`];
@@ -993,11 +1015,6 @@ impl Emulator {
         self.analysis = Some(facts);
     }
 
-    /// Whether analysis-driven relaxation is enabled.
-    pub fn analysis_enabled(&self) -> bool {
-        self.analysis.is_some()
-    }
-
     /// The analysis facts for the loaded image (None while disabled).
     pub fn analysis_facts(&self) -> Option<&ImageFacts> {
         self.analysis.as_deref()
@@ -1011,12 +1028,6 @@ impl Emulator {
     #[doc(hidden)]
     pub fn force_private_for_test(&mut self, pc: u64) {
         self.forced_private.insert(pc);
-    }
-
-    /// Number of guest pcs currently quarantined (bounded by the
-    /// engine's fixed quarantine capacity).
-    pub fn quarantined_pcs(&self) -> usize {
-        self.quarantine.len()
     }
 
     /// Selects the host scheduling policy (see [`SchedPolicy`]).
@@ -1039,14 +1050,6 @@ impl Emulator {
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.obs.sink = sink;
         self.obs.tracing = true;
-    }
-
-    /// Removes the installed trace sink (replacing it with a
-    /// [`NullSink`] and disabling event emission) and returns it — the
-    /// way to inspect a [`crate::obs::RingBufferSink`] after a run.
-    pub fn take_trace_sink(&mut self) -> Box<dyn TraceSink> {
-        self.obs.tracing = false;
-        std::mem::replace(&mut self.obs.sink, Box::new(NullSink))
     }
 
     /// Enables per-stage wall-clock histograms (`stage.*_ns` metrics).
@@ -1106,11 +1109,6 @@ impl Emulator {
             fences_merged_cross: self.sb_opt.fences_merged_cross as u64,
             ..self.sb_stats
         }
-    }
-
-    /// `true` if `guest_pc` currently executes as a tier-2 superblock.
-    pub fn is_superblock(&self, guest_pc: u64) -> bool {
-        self.machine.is_sb_head(guest_pc)
     }
 
     /// Audits the machine's chain graph; empty means every patched chain
@@ -1327,39 +1325,6 @@ impl Emulator {
         self.core_started[core] = true;
     }
 
-    /// A 16-byte instruction window at `pc` (zero-padded outside `.text`).
-    fn fetch_window(&self, pc: u64) -> [u8; 16] {
-        let mut w = [0u8; 16];
-        for (i, slot) in w.iter_mut().enumerate() {
-            let byte = pc
-                .checked_sub(TEXT_BASE)
-                .and_then(|off| off.checked_add(i as u64))
-                .and_then(|off| usize::try_from(off).ok())
-                .and_then(|off| self.text.get(off));
-            if let Some(&b) = byte {
-                *slot = b;
-            }
-        }
-        w
-    }
-
-    /// Fires a planned install-time corruption ([`FaultPlan::corrupt_install_at`])
-    /// against the freshly installed region at `host`, if one is due.
-    fn maybe_corrupt_install(&mut self, host: u64) {
-        let nth = self.installs_done;
-        self.installs_done += 1;
-        if !self.plan.take_install_corruption(nth) {
-            return;
-        }
-        let len = self.machine.code_bytes(host).map_or(0, <[u8]>::len);
-        if len > 0 {
-            let off = self.plan.pick(len);
-            if self.machine.corrupt_code_byte(host, off) {
-                self.faults_injected += 1;
-            }
-        }
-    }
-
     /// Install-time read-back check: the bytes resident in the code
     /// cache at `host` must be exactly the canonical encoding of the
     /// instructions that were installed.
@@ -1406,150 +1371,132 @@ impl Emulator {
         }
     }
 
-    /// The translate-time static validation of [`VerifyLevel::Full`]:
-    /// IR lint, fence-obligation check of `optimized` against the
-    /// unoptimized `reference`, and the host decode-back encoding check
-    /// of `code`'s canonical bytes. On violation the counters/trace are
-    /// updated and the block is rejected into the quarantine path.
-    fn verify_translation(
-        &mut self,
-        core: Option<usize>,
-        reference: &TcgBlock,
-        optimized: &TcgBlock,
-        code: &[HostInsn],
-        in_superblock: bool,
-        relax_mask: &[bool],
-    ) -> Result<(), TbFault> {
-        self.verify_checked += 1;
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
-        }
-        let result = tcg_verify::lint(optimized, in_superblock)
-            .and_then(|()| {
-                tcg_verify::check_obligations_masked(
-                    reference,
-                    optimized,
-                    self.setup.frontend().fences,
-                    self.setup.opt_policy(),
-                    relax_mask,
-                )
-            })
-            .and_then(|()| {
-                let mut bytes = Vec::new();
-                for i in code {
-                    i.encode(&mut bytes);
-                }
-                self.backend_kind.host().check_encoding(optimized, code, &bytes, backend)
-            });
-        result.map_err(|e| {
-            self.record_verify_violation(core, &e);
-            TbFault::Verify
-        })
-    }
-
     /// Full-level superblock structural check: the relink list the
     /// machine will evict on install must be exactly the head plus the
     /// stitched `TbBoundary` seams, so no unrelated tier-1 translation
     /// is unmapped.
     fn check_superblock_relinks(sb: &TcgBlock, pcs: &[u64]) -> Result<(), VerifyError> {
-        let err = |obligation: String| VerifyError {
+        let seam = |pc: &u64| sb.ops.contains(&TcgOp::TbBoundary { pc: *pc });
+        let obligation = match pcs.split_first() {
+            Some((&head, rest)) if head == sb.guest_pc => match rest.iter().find(|pc| !seam(pc)) {
+                None => return Ok(()),
+                Some(pc) => {
+                    format!("relink target {pc:#x} has no TbBoundary seam in the stitched region")
+                }
+            },
+            _ => format!("superblock head {:#x} is not the first relink target", sb.guest_pc),
+        };
+        Err(VerifyError {
             pass: VerifyPass::Encoding,
             guest_pc: sb.guest_pc,
             op_index: None,
             obligation,
-        };
-        if pcs.first() != Some(&sb.guest_pc) {
-            return Err(err(format!(
-                "superblock head {:#x} is not the first relink target",
-                sb.guest_pc
-            )));
+        })
+    }
+
+    /// The backend configuration every lowering and Pass-3 check uses:
+    /// the setup's own, with the RMW-style override on the DBT setups.
+    fn backend_config(&self) -> BackendConfig {
+        let mut backend = self.setup.backend();
+        if self.setup != Setup::Native {
+            backend.rmw = self.rmw_style;
         }
-        let seams: HashSet<u64> = sb
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                TcgOp::TbBoundary { pc } => Some(*pc),
-                _ => None,
-            })
-            .collect();
-        for &pc in &pcs[1..] {
-            if !seams.contains(&pc) {
-                return Err(err(format!(
-                    "relink target {pc:#x} has no TbBoundary seam in the stitched region"
-                )));
-            }
+        backend
+    }
+
+    /// Consults one [`FaultPlan`] site for `guest_pc`; an injected fault
+    /// fails the stage.
+    fn inject(
+        &mut self,
+        fails: fn(&mut FaultPlan, u64) -> bool,
+        guest_pc: u64,
+    ) -> Result<(), TbFault> {
+        if fails(&mut self.plan, guest_pc) {
+            self.faults_injected += 1;
+            return Err(TbFault::Injected);
         }
         Ok(())
     }
 
-    /// Installs host code for `guest_pc` and updates the cache counters.
-    /// At any level above [`VerifyLevel::Off`] the installed bytes are
-    /// read back and checked *before* the translation is mapped; a
-    /// mismatch discards the region and quarantines the pc, so corrupt
-    /// code is never dispatchable.
+    /// Runs one pipeline stage for the block at `guest_pc`. When `body`
+    /// succeeds, its wall time goes into the `hist` histogram (stage
+    /// timing on) and a traced stage emits its event, described by its
+    /// detail function (tracing on). A failed stage records nothing.
+    fn stage<T>(
+        &mut self,
+        core: Option<usize>,
+        guest_pc: u64,
+        hist: &'static str,
+        trace: StageEvent<'_, T>,
+        body: impl FnOnce(&mut Self) -> Result<T, TbFault>,
+    ) -> Result<T, TbFault> {
+        let start = self.obs.timing.then(Instant::now);
+        let out = body(self)?;
+        let ns = start.map(|t| t.elapsed().as_nanos() as u64);
+        if let Some(ns) = ns {
+            self.obs.registry.observe(hist, ns);
+        }
+        if let Some((stage, detail)) = trace.filter(|_| self.obs.tracing) {
+            // Only an installed block has a TB id.
+            let tb_id =
+                self.tb_ids.get(&guest_pc).filter(|_| stage == TraceStage::Install).copied();
+            self.obs.emit(stage, core, Some(guest_pc), tb_id, ns, detail(&out));
+        }
+        Ok(out)
+    }
+
+    /// The install stage. `code` is placed in the code cache and, at any
+    /// level above [`VerifyLevel::Off`], read back *before* it is mapped:
+    /// a mismatch discards the region and fails the stage, so corrupt
+    /// code is never dispatchable. The code is then mapped at `guest_pc`
+    /// — as a new TB, or, given a superblock's relink list, as that
+    /// superblock's head with the subsumed tier-1 bodies evicted.
     fn install(
         &mut self,
         core: Option<usize>,
         guest_pc: u64,
         code: &[HostInsn],
+        relinks: Option<&[u64]>,
+        detail: &dyn Fn() -> String,
     ) -> Result<u64, TbFault> {
-        let t0 = self.obs.timing.then(Instant::now);
-        let host = self.machine.install_code(code);
-        self.maybe_corrupt_install(host);
-        if self.verify != VerifyLevel::Off {
-            self.verify_checked += 1;
-            if let Err(e) = self.check_install_bytes(guest_pc, host, code) {
-                self.record_verify_violation(core, &e);
-                self.machine.discard_region(host);
-                return Err(TbFault::Verify);
+        let body = |s: &mut Self| {
+            let host = s.machine.install_code(code);
+            // A planned install-time corruption strikes the fresh region.
+            let nth = s.installs_done;
+            s.installs_done += 1;
+            let len = s.machine.code_bytes(host).map_or(0, <[u8]>::len);
+            if s.plan.take_install_corruption(nth) && len > 0 {
+                let off = s.plan.pick(len);
+                s.faults_injected += u64::from(s.machine.corrupt_code_byte(host, off));
             }
-        }
-        self.machine.map_tb(guest_pc, host);
-        self.tb_count += 1;
-        let tb_id = *self.tb_ids.entry(guest_pc).or_insert(self.tb_count as u64);
-        if !self.ever_translated.insert(guest_pc) {
-            self.retranslations += 1;
-        }
-        let dur = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = dur {
-            self.obs.registry.observe("stage.install_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Install,
-                core,
-                Some(guest_pc),
-                Some(tb_id),
-                dur,
-                format!("{} host insns", code.len()),
-            );
-        }
-        Ok(host)
-    }
-
-    /// Frontend-only translation for tier-2 trace formation.
-    ///
-    /// Never consults the [`FaultPlan`]: promotion is opportunistic and
-    /// must not advance the plan's deterministic fault sequence — a
-    /// tiered run sees exactly the injected faults a tier-1 run does.
-    fn translate_ir(&self, guest_pc: u64) -> Result<TcgBlock, TranslateError> {
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
+            if s.verify != VerifyLevel::Off {
+                s.verify_checked += 1;
+                if let Err(e) = s.check_install_bytes(guest_pc, host, code) {
+                    s.record_verify_violation(core, &e);
+                    s.machine.discard_region(host);
+                    return Err(TbFault::Verify);
                 }
             }
-            w
+            match relinks {
+                Some(pcs) => s.machine.install_superblock(guest_pc, host, pcs),
+                None => {
+                    s.machine.map_tb(guest_pc, host);
+                    s.tb_count += 1;
+                    s.tb_ids.entry(guest_pc).or_insert(s.tb_count as u64);
+                    if !s.ever_translated.insert(guest_pc) {
+                        s.retranslations += 1;
+                    }
+                }
+            }
+            Ok(host)
         };
-        translate_block(guest_pc, self.setup.frontend(), fetch)
+        self.stage(
+            core,
+            guest_pc,
+            "stage.install_ns",
+            Some((TraceStage::Install, &|_| detail())),
+            body,
+        )
     }
 
     /// Total observed entries into `guest_pc` — machine fast-path
@@ -1572,28 +1519,40 @@ impl Emulator {
         (hi >= 8 && hi >= 4 * lo).then_some(hot_pc)
     }
 
-    /// Walks the dominant chain from `head`: direct jumps are followed
-    /// unconditionally, conditional exits only when decisively biased,
-    /// and the trace stops at indirect/terminal exits, revisits (loop
-    /// back-edges), PLT thunks, quarantined pcs, and `max_tbs`. The
-    /// returned flag marks a *cyclic* trace — one whose last block's
-    /// on-trace successor is the head itself, i.e. a whole hot loop.
-    fn select_trace(&self, head: u64, cfg: TierConfig) -> (Vec<TcgBlock>, bool) {
+    /// Tier-2 trace selection: walks the dominant chain from `head`,
+    /// decoding each block through the frontend alone (no fault-plan
+    /// consultation). Direct jumps are followed unconditionally,
+    /// conditional exits only when decisively biased, and the trace
+    /// stops at indirect/terminal exits, revisits (loop back-edges), PLT
+    /// thunks, quarantined pcs, and `max_tbs`. A *cyclic* trace — one
+    /// whose last block's on-trace successor is the head, i.e. a whole
+    /// hot loop — executes the same code under any rotation, so it is
+    /// re-headed where the region optimizer can merge the most
+    /// cross-seam fences. The triggering block stays in the (subsumed)
+    /// trace; a tier-1 refill covers the one transfer already in flight.
+    fn select_trace(&self, head: u64, cfg: TierConfig) -> Vec<TcgBlock> {
         let mut parts: Vec<TcgBlock> = Vec::new();
         let mut visited: HashSet<u64> = HashSet::new();
         let mut pc = head;
         loop {
             if !parts.is_empty() && pc == head {
-                return (parts, true);
+                let r = superblock::best_rotation(&parts);
+                if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
+                    parts.rotate_left(r);
+                }
+                return parts;
             }
             if parts.len() >= cfg.max_tbs
                 || !visited.insert(pc)
                 || self.plt_natives.contains_key(&pc)
                 || self.quarantine.contains(pc)
             {
-                break;
+                return parts;
             }
-            let Ok(block) = self.translate_ir(pc) else { break };
+            let Ok(block) = translate_block(pc, self.setup.frontend(), |a| window(&self.text, a))
+            else {
+                return parts;
+            };
             let exit = block.exit.clone();
             parts.push(block);
             pc = match exit {
@@ -1601,412 +1560,306 @@ impl Emulator {
                 TbExit::CondJump { taken, fallthrough, .. } => {
                     match self.biased_successor(taken, fallthrough) {
                         Some(t) => t,
-                        None => break,
+                        None => return parts,
                     }
                 }
-                TbExit::JumpReg(_) | TbExit::Halt | TbExit::Syscall { .. } => break,
+                TbExit::JumpReg(_) | TbExit::Halt | TbExit::Syscall { .. } => return parts,
             };
         }
-        (parts, false)
     }
 
-    /// Routes [`Event::HotTb`] per the tier ladder: a tier-0 template
-    /// block crossing [`TierConfig::warm_threshold`] re-translates
-    /// through the tier-1 IR pipeline; a tier-1 block crossing
-    /// [`TierConfig::hot_threshold`] becomes a tier-2 superblock
-    /// candidate. The machine profile fires at every multiple of the
-    /// smaller threshold, so the larger one is re-checked on later
-    /// crossings rather than missed.
+    /// `true` while `guest_pc` can still be promoted: it has a live
+    /// translation that is not already a superblock head, a PLT thunk,
+    /// or quarantined. A candidate marked earlier may have gone stale.
+    fn promotable(&self, guest_pc: u64) -> bool {
+        self.machine.lookup_tb(guest_pc).is_some()
+            && !self.machine.is_sb_head(guest_pc)
+            && !self.plt_natives.contains_key(&guest_pc)
+            && !self.quarantine.contains(guest_pc)
+    }
+
+    /// Routes [`Event::HotTb`] up the tier ladder. A tier-0 template
+    /// block crossing [`TierConfig::warm_threshold`] re-translates through
+    /// tier 1 and is installed over the template body (the rebind unlinks
+    /// chain words into the old code); on failure the template stays. A
+    /// tier-1 block crossing [`TierConfig::hot_threshold`] selects a trace
+    /// that re-translates as a tier-2 superblock; on failure the tier-1
+    /// translations stay untouched. Either way correctness never depends
+    /// on promotion, and the triggering core needs no resume — its
+    /// transfer completed before the event fired. The machine profile
+    /// fires at every multiple of the smaller threshold, so the larger one
+    /// is re-checked on later crossings rather than missed.
     fn on_hot_tb(&mut self, core: usize, guest_pc: u64) {
         let Some(cfg) = self.tiering else { return };
-        let Some(warm) = cfg.warm_threshold else {
-            self.try_promote(core, guest_pc);
-            return;
-        };
-        if self.tier0_pcs.contains(&guest_pc) {
-            if self.entry_count(guest_pc) >= warm {
-                self.promote_template(core, guest_pc);
+        let entries = self.entry_count(guest_pc);
+        match cfg.warm_threshold {
+            Some(warm) if self.tier0_pcs.contains(&guest_pc) => {
+                if entries < warm {
+                    return;
+                }
+                if !self.promotable(guest_pc) {
+                    self.tier0_pcs.remove(&guest_pc);
+                    return;
+                }
+                match self.translate(Some(core), guest_pc, Tier::Ir) {
+                    Ok(_) => {
+                        self.tier0_pcs.remove(&guest_pc);
+                        self.template_stats.promotions += 1;
+                    }
+                    Err(_) => self.template_stats.promotion_failures += 1,
+                }
             }
-        } else if self.entry_count(guest_pc) >= cfg.hot_threshold {
-            self.try_promote(core, guest_pc);
+            Some(_) if entries < cfg.hot_threshold => {}
+            _ => {
+                if !self.promotable(guest_pc) {
+                    self.sb_stats.declined += 1;
+                    return;
+                }
+                let select = |s: &mut Self| Ok(s.select_trace(guest_pc, cfg));
+                let Ok(trace) =
+                    self.stage(Some(core), guest_pc, "sb.stage.select_ns", None, select)
+                else {
+                    return;
+                };
+                if trace.len() < cfg.min_tbs.max(2) {
+                    self.sb_stats.declined += 1;
+                    return;
+                }
+                let head = trace[0].guest_pc;
+                if self.translate(Some(core), head, Tier::Superblock(trace)).is_err() {
+                    self.sb_stats.failures += 1;
+                }
+            }
         }
     }
 
-    /// Promotes a warm tier-0 pc: the block re-translates through the
-    /// full tier-1 pipeline (optimizer, register allocator, Full-level
-    /// verifier passes when enabled) and the result is installed over
-    /// the template body — the rebind unlinks chain words into the old
-    /// code. Failure (injected or real) keeps the template translation:
-    /// correctness never depends on promotion.
-    fn promote_template(&mut self, core: usize, guest_pc: u64) {
-        if self.machine.lookup_tb(guest_pc).is_none()
-            || self.machine.is_sb_head(guest_pc)
-            || self.plt_natives.contains_key(&guest_pc)
-            || self.quarantine.contains(guest_pc)
-        {
-            // Stale candidate: evicted, subsumed by a superblock, or
-            // quarantined since it was marked.
-            self.tier0_pcs.remove(&guest_pc);
-            return;
-        }
-        let produced = self
-            .try_translate(Some(core), guest_pc)
-            .and_then(|code| self.install(Some(core), guest_pc, &code));
-        match produced {
-            Ok(_) => {
-                self.tier0_pcs.remove(&guest_pc);
-                self.template_stats.promotions += 1;
-            }
-            Err(_) => self.template_stats.promotion_failures += 1,
-        }
-    }
-
-    /// Services a tier-2 candidate: select → stitch → region-optimize →
-    /// lower → install. Failures at any stage leave the tier-1 world
-    /// untouched (counted, never fatal); the triggering core needs no
-    /// resume — its transfer completed before the event fired.
-    fn try_promote(&mut self, core: usize, guest_pc: u64) {
-        let Some(cfg) = self.tiering else { return };
-        if self.machine.lookup_tb(guest_pc).is_none()
-            || self.machine.is_sb_head(guest_pc)
-            || self.plt_natives.contains_key(&guest_pc)
-            || self.quarantine.contains(guest_pc)
-        {
-            self.sb_stats.declined += 1;
-            return;
-        }
-        let t0 = self.obs.timing.then(Instant::now);
-        let (mut parts, cyclic) = self.select_trace(guest_pc, cfg);
-        if cyclic {
-            // The trace is a whole loop: any rotation executes the same
-            // code, so re-head it where the region optimizer can merge
-            // the most cross-seam fences. The triggering block stays in
-            // the (subsumed) trace; a tier-1 refill covers the one
-            // transfer already in flight.
-            let r = superblock::best_rotation(&parts);
-            if r != 0 && !self.machine.is_sb_head(parts[r].guest_pc) {
-                parts.rotate_left(r);
-            }
-        }
-        if let Some(ns) = t0.map(|t| t.elapsed().as_nanos() as u64) {
-            self.obs.registry.observe("sb.stage.select_ns", ns);
-        }
-        if parts.len() < cfg.min_tbs.max(2) {
-            self.sb_stats.declined += 1;
-            return;
-        }
-        let pcs: Vec<u64> = parts.iter().map(|b| b.guest_pc).collect();
-        let mut sb = match superblock::stitch(parts) {
-            Ok(sb) => sb,
-            Err(_) => {
-                self.sb_stats.failures += 1;
-                return;
-            }
-        };
-        // The unoptimized stitched region is the fence-obligation
-        // reference the Full-level verifier validates against.
-        let reference = (self.verify == VerifyLevel::Full).then(|| sb.clone());
-        let t1 = self.obs.timing.then(Instant::now);
-        let stats = superblock::optimize_region(&mut sb, self.setup.opt_policy(), self.passes);
-        self.sb_opt += stats;
-        if let Some(ns) = t1.map(|t| t.elapsed().as_nanos() as u64) {
-            self.obs.registry.observe("sb.stage.opt_ns", ns);
-        }
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
-        }
-        let t2 = self.obs.timing.then(Instant::now);
-        let code = match self.backend_kind.host().lower_block_with_stats(&sb, backend) {
-            Ok(out) => {
-                self.regalloc_totals += out.alloc;
-                out.insns
-            }
-            Err(_) => {
-                self.sb_stats.failures += 1;
-                return;
-            }
-        };
-        let encode_ns = t2.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = encode_ns {
-            self.obs.registry.observe("sb.stage.encode_ns", ns);
-        }
-        if self.verify == VerifyLevel::Full {
-            if let Err(e) = Self::check_superblock_relinks(&sb, &pcs) {
-                self.record_verify_violation(Some(core), &e);
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        if let Some(reference) = reference.as_ref() {
-            if self.verify_translation(Some(core), reference, &sb, &code, true, &[]).is_err() {
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        let shape = superblock::shape_of(&sb);
-        let head_pc = sb.guest_pc;
-        let host = self.machine.install_superblock(head_pc, &code, &pcs);
-        self.maybe_corrupt_install(host);
-        if self.verify != VerifyLevel::Off {
-            self.verify_checked += 1;
-            if let Err(e) = self.check_install_bytes(head_pc, host, &code) {
-                self.record_verify_violation(Some(core), &e);
-                // Evict the damaged superblock; the head and subsumed
-                // pcs refill as fresh tier-1 translations on miss.
-                self.machine.unmap_tb(head_pc);
-                self.sb_stats.failures += 1;
-                return;
-            }
-        }
-        self.sb_stats.promotions += 1;
-        self.sb_stats.tbs_merged += shape.tbs as u64;
-        self.sb_stats.side_exits += shape.side_exits as u64;
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Install,
-                Some(core),
-                Some(head_pc),
-                self.tb_ids.get(&head_pc).copied(),
-                encode_ns,
-                format!(
-                    "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
-                    shape.tbs, shape.side_exits, stats.fences_merged_cross
-                ),
-            );
-        }
-    }
-
-    /// Runs the full translation pipeline for one block, with fault
-    /// injection at the frontend and backend boundaries.
-    fn try_translate(
+    /// The translate pipeline, shared by every tier: decode → analysis
+    /// hints → optimize → lower → verify → install. The tier picks each
+    /// stage's variant and skips the stages it has none of (DESIGN.md
+    /// §6); each caller keeps its own failure accounting. Returns the
+    /// installed host pc.
+    ///
+    /// Tiers 0 and 1 consult the [`FaultPlan`] before decode
+    /// (`translate_fails`) and after it (`lower_fails`). Tier 2 never
+    /// does: promotion is opportunistic and must not advance the plan's
+    /// deterministic fault sequence, so a tiered run sees exactly the
+    /// injected faults a tier-1 run does.
+    fn translate(
         &mut self,
         core: Option<usize>,
         guest_pc: u64,
-    ) -> Result<Vec<HostInsn>, TbFault> {
-        if self.plan.translate_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
+        tier: Tier,
+    ) -> Result<u64, TbFault> {
+        let (frontend, backend) = (self.setup.frontend(), self.backend_config());
+        if !matches!(tier, Tier::Superblock(_)) {
+            self.inject(FaultPlan::translate_fails, guest_pc)?;
         }
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
-                }
+        // Decode. Tier 0 has no IR: its one stage decodes and lowers,
+        // and its template set is verified once, statically, by the
+        // test suite (Theorem 1 per template per backend), so only
+        // install follows.
+        let (mut block, relinks) = match tier {
+            Tier::Template => {
+                let body = |s: &mut Self| {
+                    let fetch = |pc| window(&s.text, pc);
+                    let ordering = s.backend_kind.ordering();
+                    let blk =
+                        translate_block_template(guest_pc, frontend, backend, ordering, fetch)
+                            .map_err(|e| match e {
+                                TemplateError::Decode(_) => TbFault::Frontend,
+                                TemplateError::Lower(_) => TbFault::Backend,
+                            })?;
+                    s.inject(FaultPlan::lower_fails, guest_pc)?;
+                    Ok(blk)
+                };
+                let detail =
+                    |b: &TemplateBlock| format!("tier-0 template: {} guest insns", b.insns);
+                let trace = Some((TraceStage::Decode, &detail as _));
+                let blk = self.stage(core, guest_pc, "stage.template_ns", trace, body)?;
+                self.template_stats.blocks += 1;
+                self.template_stats.insns += blk.insns as u64;
+                let detail = || format!("{} host insns", blk.code.len());
+                let host = self.install(core, guest_pc, &blk.code, None, &detail)?;
+                self.tier0_pcs.insert(guest_pc);
+                return Ok(host);
             }
-            w
+            Tier::Ir => {
+                let body = |s: &mut Self| {
+                    let block = translate_block(guest_pc, frontend, |pc| window(&s.text, pc))
+                        .map_err(|_| TbFault::Frontend)?;
+                    let fences = block.ops.iter().filter_map(|op| match op {
+                        TcgOp::Fence(k) => k.tcg_index(),
+                        _ => None,
+                    });
+                    for i in fences {
+                        s.fence_inserted[i] += 1;
+                    }
+                    Ok(block)
+                };
+                let detail = |b: &TcgBlock| format!("{} ops", b.ops.len());
+                let trace = Some((TraceStage::Decode, &detail as _));
+                let block = self.stage(core, guest_pc, "stage.decode_ns", trace, body)?;
+                // Guest-instruction count for the per-tier translation
+                // cost (`translate.insns`), re-decoded outside the timed
+                // stages; decoding already succeeded above.
+                let mut p = guest_pc;
+                let end = guest_pc + block.guest_len as u64;
+                while p < end {
+                    match Insn::decode(&window(&self.text, p)) {
+                        Ok((_, len)) => {
+                            self.tier1_insns += 1;
+                            p += len as u64;
+                        }
+                        Err(_) => break,
+                    }
+                }
+                (block, None)
+            }
+            Tier::Superblock(trace) => {
+                let pcs: Vec<u64> = trace.iter().map(|b| b.guest_pc).collect();
+                (superblock::stitch(trace).map_err(|_| TbFault::Frontend)?, Some(pcs))
+            }
         };
-        let t0 = self.obs.timing.then(Instant::now);
-        let mut block = translate_block(guest_pc, self.setup.frontend(), fetch)
-            .map_err(|_| TbFault::Frontend)?;
-        for op in &block.ops {
-            if let TcgOp::Fence(k) = op {
-                if let Some(i) = k.tcg_index() {
-                    self.fence_inserted[i] += 1;
-                }
-            }
-        }
-        let decode_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = decode_ns {
-            self.obs.registry.observe("stage.decode_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Decode,
-                core,
-                Some(guest_pc),
-                None,
-                decode_ns,
-                format!("{} ops", block.ops.len()),
-            );
-        }
-        // Guest-instruction count for the per-tier translation-cost
-        // metrics (`translate.insns`), re-decoded outside the timed
-        // stages; decoding already succeeded above.
-        let mut p = guest_pc;
-        let end = guest_pc + block.guest_len as u64;
-        while p < end {
-            match Insn::decode(&fetch(p)) {
-                Ok((_, len)) => {
-                    self.tier1_insns += 1;
-                    p += len as u64;
-                }
-                Err(_) => break,
-            }
-        }
-        // Analysis-driven relaxation (docs/ANALYSIS.md): the engine
-        // mask relaxes the frontend block before optimization; the
-        // verifier mask is re-derived from the pristine facts, so a
-        // wrong "private" claim (e.g. an injected mutant) is rejected
-        // by Pass 2 at install time.
-        let masks = self.analysis.as_ref().map(|facts| {
-            let sites = event_sites(guest_pc, block.guest_len as u64, fetch);
-            let verifier: Vec<bool> =
-                sites.iter().map(|&(p, plain)| plain && facts.relaxable(p)).collect();
-            let engine: Vec<bool> = if self.forced_private.is_empty() {
-                verifier.clone()
-            } else {
-                sites
-                    .iter()
-                    .zip(&verifier)
-                    .map(|(&(p, plain), &v)| v || (plain && self.forced_private.contains(&p)))
-                    .collect()
-            };
-            (engine, verifier)
-        });
         // The unoptimized block is the fence-obligation reference the
         // Full-level verifier validates the optimized result against.
         let reference = (self.verify == VerifyLevel::Full).then(|| block.clone());
-        if let Some((engine_mask, _)) = &masks {
-            let removed =
-                tcg_verify::relax_block(&mut block, self.setup.frontend().fences, engine_mask);
-            if removed > 0 {
-                self.analysis_relaxed += removed as u64;
-                self.analysis_relaxed_blocks += 1;
+        // Analysis hints (tier 1, analysis on; docs/ANALYSIS.md). The
+        // engine mask relaxes the frontend block before optimization;
+        // the verifier mask is re-derived from the pristine facts, so a
+        // wrong "private" claim (e.g. an injected mutant) is rejected by
+        // Pass 2. Known-bits hints then fold pure ops and prune
+        // statically-decided branches; they never touch events or
+        // fences, so the verifier reference stays valid.
+        let mask = match (&relinks, self.analysis.clone()) {
+            (None, Some(facts)) => {
+                let body = |s: &mut Self| Ok(s.analysis_hints(&facts, &mut block));
+                self.stage(core, guest_pc, "stage.analysis_ns", None, body)?
             }
+            _ => Vec::new(),
+        };
+        // Optimize: the pass pipeline over one block, or over the whole
+        // stitched region so fence merging fires across former TB seams.
+        let (policy, passes) = (self.setup.opt_policy(), self.passes);
+        let stats = match relinks {
+            None => {
+                let body = |_: &mut Self| Ok(optimize_with(&mut block, policy, passes));
+                let detail = |st: &OptStats| {
+                    format!(
+                        "folded {}, forwarded {}, fences merged {}, dce {}",
+                        st.folded, st.loads_forwarded, st.fences_merged, st.dce_removed
+                    )
+                };
+                let trace = Some((TraceStage::Opt, &detail as _));
+                let stats = self.stage(core, guest_pc, "stage.opt_ns", trace, body)?;
+                self.opt_totals += stats;
+                stats
+            }
+            Some(_) => {
+                let body =
+                    |_: &mut Self| Ok(superblock::optimize_region(&mut block, policy, passes));
+                let stats = self.stage(core, guest_pc, "sb.stage.opt_ns", None, body)?;
+                self.sb_opt += stats;
+                stats
+            }
+        };
+        // Lower; tier 1 consults `lower_fails` first.
+        let host_backend = self.backend_kind.host();
+        let tier1 = relinks.is_none();
+        let body = |s: &mut Self| {
+            if tier1 {
+                s.inject(FaultPlan::lower_fails, guest_pc)?;
+            }
+            let out = host_backend
+                .lower_block_with_stats(&block, backend)
+                .map_err(|_| TbFault::Backend)?;
+            s.regalloc_totals += out.alloc;
+            Ok(out.insns)
+        };
+        let detail = |c: &Vec<HostInsn>| format!("{} host insns", c.len());
+        let (hist, trace) = if tier1 {
+            ("stage.encode_ns", Some((TraceStage::Encode, &detail as _)))
+        } else {
+            ("sb.stage.encode_ns", None)
+        };
+        let code = self.stage(core, guest_pc, hist, trace, body)?;
+        // Verify (Full level): the superblock relink list, then Pass 1
+        // (IR lint), Pass 2 (fence obligations against the reference)
+        // and Pass 3 (host decode-back of the canonical encoding).
+        if let Some(reference) = &reference {
+            let body = |s: &mut Self| {
+                s.verify_checked += 1;
+                relinks
+                    .as_deref()
+                    .map_or(Ok(()), |pcs| Self::check_superblock_relinks(&block, pcs))
+                    .and_then(|()| tcg_verify::lint(&block, !tier1))
+                    .and_then(|()| {
+                        tcg_verify::check_obligations_masked(
+                            reference,
+                            &block,
+                            frontend.fences,
+                            policy,
+                            &mask,
+                        )
+                    })
+                    .and_then(|()| {
+                        let mut bytes = Vec::new();
+                        for i in &code {
+                            i.encode(&mut bytes);
+                        }
+                        host_backend.check_encoding(&block, &code, &bytes, backend)
+                    })
+                    .map_err(|e| {
+                        s.record_verify_violation(core, &e);
+                        TbFault::Verify
+                    })
+            };
+            self.stage(core, guest_pc, "stage.verify_ns", None, body)?;
         }
-        // Known-bits hints (docs/ANALYSIS.md): IR-level value-range
-        // facts fold pure ops and prune statically-decided branches
-        // before the regular pass pipeline. Events and fences are never
-        // touched, so the verifier reference stays valid.
-        if self.analysis.is_some() {
-            let hints = ir_hints(&block);
-            let hs = apply_hints(&mut block, &hints);
-            self.hint_totals.folded += hs.folded;
-            self.hint_totals.branches_pruned += hs.branches_pruned;
+        // Install; a superblock replaces its head and evicts the rest.
+        let shape = relinks.is_some().then(|| superblock::shape_of(&block));
+        let detail = || match shape {
+            None => format!("{} host insns", code.len()),
+            Some(sh) => format!(
+                "superblock: {} tbs, {} side exits, {} cross-boundary fence merges",
+                sh.tbs, sh.side_exits, stats.fences_merged_cross
+            ),
+        };
+        let installed = self.install(core, guest_pc, &code, relinks.as_deref(), &detail)?;
+        if let Some(sh) = shape {
+            self.sb_stats.promotions += 1;
+            self.sb_stats.tbs_merged += sh.tbs as u64;
+            self.sb_stats.side_exits += sh.side_exits as u64;
         }
-        let t1 = self.obs.timing.then(Instant::now);
-        let stats = optimize_with(&mut block, self.setup.opt_policy(), self.passes);
-        self.opt_totals += stats;
-        let opt_ns = t1.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = opt_ns {
-            self.obs.registry.observe("stage.opt_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Opt,
-                core,
-                Some(guest_pc),
-                None,
-                opt_ns,
-                format!(
-                    "folded {}, forwarded {}, fences merged {}, dce {}",
-                    stats.folded, stats.loads_forwarded, stats.fences_merged, stats.dce_removed
-                ),
-            );
-        }
-        if self.plan.lower_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
-        let mut backend = self.setup.backend();
-        if self.setup != Setup::Native {
-            backend.rmw = self.rmw_style;
-        }
-        let t2 = self.obs.timing.then(Instant::now);
-        let code = self
-            .backend_kind
-            .host()
-            .lower_block_with_stats(&block, backend)
-            .map(|out| {
-                self.regalloc_totals += out.alloc;
-                out.insns
-            })
-            .map_err(|_| TbFault::Backend)?;
-        let encode_ns = t2.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = encode_ns {
-            self.obs.registry.observe("stage.encode_ns", ns);
-        }
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Encode,
-                core,
-                Some(guest_pc),
-                None,
-                encode_ns,
-                format!("{} host insns", code.len()),
-            );
-        }
-        if let Some(reference) = reference.as_ref() {
-            let mask = masks.as_ref().map(|(_, v)| v.as_slice()).unwrap_or(&[]);
-            self.verify_translation(core, reference, &block, &code, false, mask)?;
-        }
-        Ok(code)
+        Ok(installed)
     }
 
-    /// Tier-0: translates one block by IR-less template instantiation —
-    /// no `TcgOp` block is built and no optimizer, register allocator or
-    /// per-block static verifier pass runs. The template set is verified
-    /// once, statically, by the test suite (Theorem-1 per template per
-    /// backend); only the install-time encoding read-back remains on
-    /// this path. Fault-injection sites mirror tier-1: `translate_fails`
-    /// before decode, `lower_fails` after.
-    fn try_template(
-        &mut self,
-        core: Option<usize>,
-        guest_pc: u64,
-    ) -> Result<Vec<HostInsn>, TbFault> {
-        if self.plan.translate_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
-        let mut backend = self.setup.backend();
-        backend.rmw = self.rmw_style;
-        let text = &self.text;
-        let fetch = |addr: u64| -> [u8; 16] {
-            let mut w = [0u8; 16];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let byte = addr
-                    .checked_sub(TEXT_BASE)
-                    .and_then(|off| off.checked_add(i as u64))
-                    .and_then(|off| usize::try_from(off).ok())
-                    .and_then(|off| text.get(off));
-                if let Some(&b) = byte {
-                    *slot = b;
-                }
-            }
-            w
+    /// The analysis-hints stage body: relaxes `block` per the image
+    /// facts (plus any forced-private test mutants) and applies the
+    /// known-bits hints. Returns the verifier's relaxation mask, derived
+    /// from the pristine facts alone.
+    fn analysis_hints(&mut self, facts: &ImageFacts, block: &mut TcgBlock) -> Vec<bool> {
+        let sites =
+            event_sites(block.guest_pc, block.guest_len as u64, |pc| window(&self.text, pc));
+        let verifier: Vec<bool> =
+            sites.iter().map(|&(p, plain)| plain && facts.relaxable(p)).collect();
+        let engine: Vec<bool> = if self.forced_private.is_empty() {
+            verifier.clone()
+        } else {
+            sites
+                .iter()
+                .zip(&verifier)
+                .map(|(&(p, plain), &v)| v || (plain && self.forced_private.contains(&p)))
+                .collect()
         };
-        let t0 = self.obs.timing.then(Instant::now);
-        let blk = translate_block_template(
-            guest_pc,
-            self.setup.frontend(),
-            backend,
-            self.backend_kind.ordering(),
-            fetch,
-        )
-        .map_err(|e| match e {
-            TemplateError::Decode(_) => TbFault::Frontend,
-            TemplateError::Lower(_) => TbFault::Backend,
-        })?;
-        let template_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
-        if let Some(ns) = template_ns {
-            self.obs.registry.observe("stage.template_ns", ns);
+        let removed = tcg_verify::relax_block(block, self.setup.frontend().fences, &engine);
+        if removed > 0 {
+            self.analysis_relaxed += removed as u64;
+            self.analysis_relaxed_blocks += 1;
         }
-        if self.plan.lower_fails(guest_pc) {
-            self.faults_injected += 1;
-            return Err(TbFault::Injected);
-        }
-        self.template_stats.blocks += 1;
-        self.template_stats.insns += blk.insns as u64;
-        if self.obs.tracing {
-            self.obs.emit(
-                TraceStage::Decode,
-                core,
-                Some(guest_pc),
-                None,
-                template_ns,
-                format!("tier-0 template: {} guest insns", blk.insns),
-            );
-        }
-        Ok(blk.code)
+        let hs = apply_hints(block, &ir_hints(block));
+        self.hint_totals.folded += hs.folded;
+        self.hint_totals.branches_pruned += hs.branches_pruned;
+        verifier
     }
 
     /// Ensures a translation exists for `guest_pc`; returns its host pc,
@@ -2028,19 +1881,13 @@ impl Emulator {
         }
         let produced = if let Some(&(func, nargs)) = self.plt_natives.get(&guest_pc) {
             let code = self.build_native_thunk(func, nargs);
-            self.install(core, guest_pc, &code)
-        } else if self.tier0_active() {
-            // Cold code gets the near-zero-latency template tier; the
-            // profiler re-translates it through tier-1 when it warms up.
-            let produced = self
-                .try_template(core, guest_pc)
-                .and_then(|code| self.install(core, guest_pc, &code));
-            if produced.is_ok() {
-                self.tier0_pcs.insert(guest_pc);
-            }
-            produced
+            self.install(core, guest_pc, &code, None, &|| format!("{} host insns", code.len()))
         } else {
-            self.try_translate(core, guest_pc).and_then(|code| self.install(core, guest_pc, &code))
+            // Cold code gets the near-zero-latency template tier when the
+            // ladder has one; the profiler re-translates it through tier 1
+            // when it warms up.
+            let tier = if self.tier0_active() { Tier::Template } else { Tier::Ir };
+            self.translate(core, guest_pc, tier)
         };
         match produced {
             Ok(host) => {
@@ -2126,12 +1973,12 @@ impl Emulator {
                 return Err(EmuError::OutOfFuel);
             }
             self.interp_steps += 1;
-            let window = self.fetch_window(pc);
-            let (insn, len) = Insn::decode(&window).map_err(|cause| EmuError::Translate {
-                source: TranslateError { pc, cause },
-                core: Some(core),
-                tb_count: self.tb_count,
-            })?;
+            let (insn, len) =
+                Insn::decode(&window(&self.text, pc)).map_err(|cause| EmuError::Translate {
+                    source: TranslateError { pc, cause },
+                    core: Some(core),
+                    tb_count: self.tb_count,
+                })?;
             let next = pc.wrapping_add(len as u64);
             self.machine.add_cycles(core, INTERP_CYCLES_PER_INSN);
 
@@ -2749,18 +2596,18 @@ mod tests {
         for pc in 0..QUARANTINE_CAPACITY as u64 {
             q.note_failure(pc);
         }
-        assert_eq!(q.len(), QUARANTINE_CAPACITY);
+        assert_eq!(q.map.len(), QUARANTINE_CAPACITY);
         // Touch pc 0 so it is no longer the LRU victim.
         assert_eq!(q.attempts(0), 1);
         q.note_failure(0xDEAD_0000);
-        assert_eq!(q.len(), QUARANTINE_CAPACITY, "insertion beyond capacity must evict");
+        assert_eq!(q.map.len(), QUARANTINE_CAPACITY, "insertion beyond capacity must evict");
         assert!(q.contains(0xDEAD_0000));
         assert!(q.contains(0), "recently touched entry must survive eviction");
         assert!(!q.contains(1), "least-recently-touched entry is the victim");
         // A sweep of fresh failing pcs can never grow the map.
         for pc in 0..10 * QUARANTINE_CAPACITY as u64 {
             q.note_failure(0x4000_0000 + pc);
-            assert!(q.len() <= QUARANTINE_CAPACITY);
+            assert!(q.map.len() <= QUARANTINE_CAPACITY);
         }
     }
 

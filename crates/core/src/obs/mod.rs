@@ -32,7 +32,9 @@ pub use registry::{
     HistSummary, JsonError, MetricKind, MetricSpec, MetricValue, MetricsRegistry, MetricsSnapshot,
     SNAPSHOT_VERSION,
 };
-pub use trace::{JsonLinesSink, NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage};
+pub use trace::{
+    json_escape, JsonLinesSink, NullSink, RingBufferSink, TraceEvent, TraceSink, TraceStage,
+};
 
 use std::fmt;
 
@@ -44,7 +46,7 @@ pub(crate) struct Obs {
     pub(crate) sink: Box<dyn TraceSink>,
     /// Events are only constructed when a sink is installed.
     pub(crate) tracing: bool,
-    /// Per-stage wall-clock histograms (decode/opt/encode/install).
+    /// Per-stage wall-clock histograms (`stage.*_ns`, `sb.stage.*_ns`).
     pub(crate) timing: bool,
     /// Engine-side dispatch-loop profiling (the machine has its own
     /// flag, toggled in lockstep).

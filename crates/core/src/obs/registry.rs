@@ -230,9 +230,11 @@ impl MetricsRegistry {
             spec("core.<i>.cycles", Gauge, "cycles", "Local clock of core i"),
             spec("stage.template_ns", Histogram, "ns", "Wall time of tier-0 template translation, per block"),
             spec("stage.decode_ns", Histogram, "ns", "Wall time of frontend decode+translate, per block"),
+            spec("stage.analysis_ns", Histogram, "ns", "Wall time of analysis relaxation + known-bits hints, per tier-1 block (analysis on)"),
             spec("stage.opt_ns", Histogram, "ns", "Wall time of the optimizer pipeline, per block"),
             spec("stage.encode_ns", Histogram, "ns", "Wall time of backend lowering, per block"),
-            spec("stage.install_ns", Histogram, "ns", "Wall time of code install + TB mapping, per block"),
+            spec("stage.verify_ns", Histogram, "ns", "Wall time of the Full-level verifier Passes 1-3, per tier-1 block or superblock"),
+            spec("stage.install_ns", Histogram, "ns", "Wall time of code install + TB mapping, per block or superblock"),
             spec("sb.stage.select_ns", Histogram, "ns", "Wall time of tier-2 trace selection, per promotion attempt"),
             spec("sb.stage.opt_ns", Histogram, "ns", "Wall time of the region optimizer over a stitched superblock"),
             spec("sb.stage.encode_ns", Histogram, "ns", "Wall time of backend lowering for a superblock"),

@@ -79,20 +79,28 @@ impl TraceEvent {
             s.push_str(&format!(", \"dur_ns\": {ns}"));
         }
         if !self.detail.is_empty() {
-            let escaped: String = self
-                .detail
-                .chars()
-                .flat_map(|c| match c {
-                    '"' | '\\' => vec!['\\', c],
-                    c if c.is_control() => " ".chars().collect(),
-                    c => vec![c],
-                })
-                .collect();
-            s.push_str(&format!(", \"detail\": \"{escaped}\""));
+            s.push_str(&format!(", \"detail\": \"{}\"", json_escape(&self.detail)));
         }
         s.push('}');
         s
     }
+}
+
+/// Escapes `s` for a JSON string literal: `"` and `\` get a backslash,
+/// and control characters become a space.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c.is_control() => out.push(' '),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Receiver of trace events. Implementations must be observational:
@@ -206,5 +214,18 @@ impl TraceSink for JsonLinesSink {
 impl Drop for JsonLinesSink {
     fn drop(&mut self) {
         let _ = self.w.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escape_quotes_backslashes_and_blanks_control_chars() {
+        assert_eq!(json_escape(r#"say "hi""#), r#"say \"hi\""#);
+        assert_eq!(json_escape(r"a\b"), r"a\\b");
+        assert_eq!(json_escape("a\nb\tc\u{7}"), "a b c ");
+        assert_eq!(json_escape("plain — text"), "plain — text");
     }
 }

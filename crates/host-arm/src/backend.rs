@@ -133,7 +133,6 @@ enum Item {
     Insn(HostInsn),
     Label(u32),
     BCondTo(ACond, u32),
-    BTo(u32),
 }
 
 impl HostAsm {
@@ -170,11 +169,6 @@ impl HostAsm {
         self.items.push(Item::BCondTo(cond, label));
     }
 
-    /// Unconditional branch to a label.
-    pub fn b_to(&mut self, label: u32) {
-        self.items.push(Item::BTo(label));
-    }
-
     /// Resolves labels into relative branches.
     ///
     /// Returns [`BackendError::UnboundLabel`] if a branch targets a
@@ -192,7 +186,6 @@ impl HostAsm {
                 Item::BCondTo(..) => {
                     HostInsn::BCond { cond: ACond::Eq, rel: 0 }.encode(&mut scratch)
                 }
-                Item::BTo(_) => HostInsn::B { rel: 0 }.encode(&mut scratch),
             }
         };
         let mut offsets = Vec::with_capacity(self.items.len() + 1);
@@ -217,10 +210,6 @@ impl HostAsm {
                 Item::BCondTo(c, l) => {
                     let target = *labels.get(l).ok_or(BackendError::UnboundLabel { label: *l })?;
                     out.push(HostInsn::BCond { cond: *c, rel: target as i32 - next as i32 });
-                }
-                Item::BTo(l) => {
-                    let target = *labels.get(l).ok_or(BackendError::UnboundLabel { label: *l })?;
-                    out.push(HostInsn::B { rel: target as i32 - next as i32 });
                 }
             }
         }

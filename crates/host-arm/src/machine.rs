@@ -557,17 +557,16 @@ impl Machine {
         true
     }
 
-    /// Installs a tier-2 superblock: `code` replaces `head`'s tier-1
-    /// translation, and every other trace member in `subsumed` is
-    /// evicted so future transfers to those pcs dispatch into fresh
-    /// tier-1 bodies (retranslated on miss) rather than stale copies.
+    /// Installs a tier-2 superblock whose code [`Machine::install_code`]
+    /// placed at `host`: it replaces `head`'s tier-1 translation, and
+    /// every other trace member in `subsumed` is evicted so future
+    /// transfers to those pcs dispatch into fresh tier-1 bodies
+    /// (retranslated on miss) rather than stale copies.
     ///
     /// Uses only the existing [`Machine::unmap_tb`] / [`Machine::map_tb`]
     /// paths, so the chain-unlink ordering, jump-cache flushes, and
-    /// deferred-free discipline all hold unchanged. Returns the host
-    /// address of the installed superblock.
-    pub fn install_superblock(&mut self, head: u64, code: &[HostInsn], subsumed: &[u64]) -> u64 {
-        let host = self.install_code(code);
+    /// deferred-free discipline all hold unchanged.
+    pub fn install_superblock(&mut self, head: u64, host: u64, subsumed: &[u64]) {
         self.cache_stats.sb_installs += 1;
         for &pc in subsumed {
             if pc != head && self.unmap_tb(pc) {
@@ -577,7 +576,6 @@ impl Machine {
         self.map_tb(head, host);
         // After map_tb: the remap branch demotes, then we promote.
         self.sb_heads.insert(head);
-        host
     }
 
     /// Audits the chain graph: every recorded incoming site must hold a
@@ -756,12 +754,6 @@ impl Machine {
     /// Reads a core register.
     pub fn reg(&self, core: usize, r: Xreg) -> u64 {
         self.cores[core].get(r)
-    }
-
-    /// Redirects a core to another host pc (engine use after servicing an
-    /// event).
-    pub fn set_pc(&mut self, core: usize, host_pc: u64) {
-        self.cores[core].pc = host_pc;
     }
 
     /// Halts a core (engine use: guest thread exit).
@@ -1655,15 +1647,12 @@ mod tests {
         assert_eq!(m.chain_stats().chain_links, 1, "A chained into B");
 
         // Promote: a fused body replaces A, B is subsumed.
-        let sb = m.install_superblock(
-            0x2000,
-            &[
-                MovImm { dst: Xreg(0), imm: 1 },
-                AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
-                ExitTb(TbExitKind::Halt),
-            ],
-            &[0x2000, 0x2008],
-        );
+        let sb = m.install_code(&[
+            MovImm { dst: Xreg(0), imm: 1 },
+            AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
+            ExitTb(TbExitKind::Halt),
+        ]);
+        m.install_superblock(0x2000, sb, &[0x2000, 0x2008]);
         assert!(m.is_sb_head(0x2000));
         assert_eq!(m.lookup_tb(0x2000), Some(sb));
         assert_eq!(m.lookup_tb(0x2008), None, "subsumed TB evicted");

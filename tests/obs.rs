@@ -10,14 +10,16 @@
 //! * `RingBufferSink` is bounded and overwrites oldest-first;
 //! * `docs/METRICS.md` documents 100% of the registry schema, and every
 //!   metric a real run emits maps back into that schema;
-//! * snapshots round-trip through their JSON exposition.
+//! * snapshots round-trip through their JSON exposition;
+//! * the one translate pipeline reports each tier under that tier's own
+//!   histogram names and trace events.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use risotto::core::{
-    Emulator, HotTbProfiler, MetricsRegistry, MetricsSnapshot, RingBufferSink, Setup, TraceEvent,
-    TraceSink, TraceStage,
+    Emulator, HotTbProfiler, MetricsRegistry, MetricsSnapshot, RingBufferSink, Setup, TierConfig,
+    TraceEvent, TraceSink, TraceStage, VerifyLevel,
 };
 use risotto::host::CostModel;
 use risotto::memmodel::FenceKind;
@@ -148,6 +150,66 @@ fn instrumented_run_is_bit_identical_to_default_run() {
             "{}: no timed decode events",
             w.name
         );
+    }
+}
+
+/// The per-tier contract of the staged translate pipeline on a ladder run
+/// that reaches every tier: tier 0 reports template-prefixed `Decode`
+/// events, tier 1 a timed `Decode`, `Opt`, `Encode`, `Install` run per
+/// translation, tier 2 only `superblock:` installs plus its three
+/// `sb.stage.*` histograms; installs of every tier land in
+/// `stage.install_ns`, and `stage.verify_ns` samples exactly the
+/// Full-level static verifications.
+#[test]
+fn translate_pipeline_reports_each_tier_under_its_own_names() {
+    use TraceStage::{Decode, Encode, Install, Opt};
+    let w = kernels::all().into_iter().find(|w| w.name == "matrixmultiply").unwrap();
+    let bin = (w.build)(8, 2);
+    for level in [VerifyLevel::Install, VerifyLevel::Full] {
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(1 << 16)));
+        let mut emu = Emulator::new(&bin, Setup::Risotto, 2, CostModel::thunderx2_like());
+        let ladder =
+            TierConfig { hot_threshold: 64, warm_threshold: Some(8), ..TierConfig::default() };
+        emu.set_tiering(Some(ladder));
+        emu.set_verify(level);
+        emu.set_trace_sink(Box::new(SharedSink(Rc::clone(&ring))));
+        emu.set_stage_timing(true);
+        let r = emu.run(FUEL).unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        let (t0, t1, t2) = (r.template.blocks, r.template.promotions, r.sb.promotions);
+        assert!(t0 > 0 && t1 > 0 && t2 > 0, "{level:?}: the ladder must reach every tier");
+        let ring = ring.borrow();
+        assert_eq!(ring.overwritten(), 0, "{level:?}: ring too small");
+        let events: Vec<&TraceEvent> = ring.events().collect();
+        let count = |stage| events.iter().filter(|e| e.stage == stage).count() as u64;
+        let is_template =
+            |e: &TraceEvent| e.stage == Decode && e.detail.starts_with("tier-0 template");
+
+        let templates = events.iter().filter(|e| is_template(e)).count() as u64;
+        assert_eq!(templates, t0, "{level:?}: one template Decode per tier-0 block");
+        // Every tier-1 translation here is a tier-0 promotion; tier 2
+        // adds no Decode, Opt or Encode event.
+        assert_eq!((count(Decode), count(Opt), count(Encode)), (t0 + t1, t1, t1), "{level:?}");
+        for (i, e) in
+            events.iter().enumerate().filter(|(_, e)| e.stage == Decode && !is_template(e))
+        {
+            let run: Vec<_> = events[i..i + 4].iter().map(|e| (e.stage, e.guest_pc)).collect();
+            let pc = e.guest_pc;
+            assert_eq!(run, [(Decode, pc), (Opt, pc), (Encode, pc), (Install, pc)], "{level:?}");
+            assert!(events[i..i + 4].iter().all(|e| e.dur_ns.is_some()), "{level:?}: untimed");
+        }
+        let superblocks: Vec<_> =
+            events.iter().filter(|e| e.detail.starts_with("superblock:")).collect();
+        assert_eq!(superblocks.len() as u64, t2, "{level:?}: one event per superblock");
+        assert!(superblocks.iter().all(|e| e.stage == Install && e.dur_ns.is_some()), "{level:?}");
+
+        let snap = emu.metrics();
+        for h in ["sb.stage.select_ns", "sb.stage.opt_ns", "sb.stage.encode_ns"] {
+            assert!(snap.histogram(h).count >= t2, "{level:?}: `{h}` lacks tier-2 samples");
+        }
+        let installs = snap.histogram("stage.install_ns").count;
+        assert_eq!(installs, r.tb_count as u64 + t2, "{level:?}: install_ns misses superblocks");
+        let verified = if level == VerifyLevel::Full { t1 + t2 } else { 0 };
+        assert_eq!(snap.histogram("stage.verify_ns").count, verified, "{level:?}: verify_ns");
     }
 }
 
