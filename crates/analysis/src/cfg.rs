@@ -163,44 +163,42 @@ impl RegConsts {
 pub fn recover(bin: &GuestBinary) -> Cfg {
     let text_end = TEXT_BASE + bin.text.len() as u64;
     let in_text = |pc: u64| pc >= TEXT_BASE && pc < text_end;
-    let decode_at = |pc: u64| -> Option<(Insn, usize)> {
-        if !in_text(pc) {
-            return None;
-        }
-        let off = (pc - TEXT_BASE) as usize;
-        Insn::decode(&bin.text[off..]).ok()
-    };
+    // Dense per-text-offset tables: the decoded instruction starting at
+    // each offset, and whether the offset is a block leader. Walking
+    // them in offset order is walking pcs in ascending order.
+    let off = |pc: u64| (pc - TEXT_BASE) as usize;
+    let pc_of = |off: usize| TEXT_BASE + off as u64;
+    let mut decoded: Vec<Option<(Insn, usize)>> = vec![None; bin.text.len()];
+    let mut leaders: Vec<bool> = vec![false; bin.text.len()];
+    let mut seen_roots: Vec<bool> = vec![false; bin.text.len()];
 
     // Pass 1: worklist decode from the entry, tracking leaders, spawn
     // sites and resolved indirect targets. `consts` is reset at every
     // root so runs never inherit stale constants.
-    let mut decoded: BTreeMap<u64, (Insn, usize)> = BTreeMap::new();
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
     let mut spawns: BTreeMap<u64, SpawnSite> = BTreeMap::new();
     let mut unresolved = false;
     let mut roots: VecDeque<u64> = VecDeque::from([bin.entry]);
-    let mut seen_roots: BTreeSet<u64> = BTreeSet::new();
     while let Some(root) = roots.pop_front() {
-        if !seen_roots.insert(root) {
-            continue;
-        }
         if !in_text(root) {
             unresolved = true;
             continue;
         }
-        leaders.insert(root);
+        if std::mem::replace(&mut seen_roots[off(root)], true) {
+            continue;
+        }
+        leaders[off(root)] = true;
         let mut pc = root;
         let mut consts = RegConsts::default();
         loop {
-            if decoded.contains_key(&pc) {
+            if decoded[off(pc)].is_some() {
                 // Converged with an already-decoded run.
-                leaders.insert(pc);
+                leaders[off(pc)] = true;
                 break;
             }
-            let Some((insn, len)) = decode_at(pc) else {
+            let Ok((insn, len)) = Insn::decode(&bin.text[off(pc)..]) else {
                 break;
             };
-            decoded.insert(pc, (insn, len));
+            decoded[off(pc)] = Some((insn, len));
             let next = pc + len as u64;
             let mut push = |t: u64| roots.push_back(t);
             match insn {
@@ -261,21 +259,23 @@ pub fn recover(bin: &GuestBinary) -> Cfg {
                 other => {
                     consts.step(&other);
                     pc = next;
+                    if !in_text(pc) {
+                        break;
+                    }
                 }
             }
         }
     }
 
-    // Pass 2: split the decoded runs at leaders into blocks.
+    // Pass 2: split the decoded runs at leaders into blocks, in
+    // ascending start order.
+    let is_leader = |pc: u64| in_text(pc) && leaders[off(pc)];
     let mut blocks: BTreeMap<u64, Block> = BTreeMap::new();
-    for &start in &leaders {
-        if blocks.contains_key(&start) || !decoded.contains_key(&start) {
-            continue;
-        }
+    for start in (0..leaders.len()).filter(|&o| leaders[o] && decoded[o].is_some()).map(pc_of) {
         let mut insns = Vec::new();
         let mut pc = start;
         let term = loop {
-            let Some(&(insn, len)) = decoded.get(&pc) else {
+            let Some((insn, len)) = (if in_text(pc) { decoded[off(pc)] } else { None }) else {
                 break Term::Bad;
             };
             insns.push(CfgInsn { pc, len, insn });
@@ -313,7 +313,7 @@ pub fn recover(bin: &GuestBinary) -> Cfg {
                 Insn::Hlt => break Term::Halt,
                 Insn::Syscall => break Term::Syscall { next },
                 _ => {
-                    if leaders.contains(&next) {
+                    if is_leader(next) {
                         break Term::Fall(next);
                     }
                     pc = next;

@@ -193,15 +193,11 @@ fn setcond(cond: CondOp, a: Kb, b: Kb) -> Kb {
 /// Run this on the *frontend* output, before the optimizer: hints are
 /// matched to ops by their pure def, which optimization may remove.
 pub fn ir_hints(block: &TcgBlock) -> IrHints {
-    let mut temps: Vec<Kb> = vec![Kb::TOP; block.n_temps as usize];
+    let mut temps: Vec<Kb> = vec![Kb::TOP; block.temp_bound()];
     let mut envs: [Kb; env::COUNT] = [Kb::TOP; env::COUNT];
     let mut hints = IrHints::default();
-    let get = |temps: &Vec<Kb>, t: Temp| temps.get(t.0 as usize).copied().unwrap_or(Kb::TOP);
-    let set = |temps: &mut Vec<Kb>, t: Temp, v: Kb| {
-        if let Some(slot) = temps.get_mut(t.0 as usize) {
-            *slot = v;
-        }
-    };
+    let get = |temps: &[Kb], t: Temp| temps[t.0 as usize];
+    let set = |temps: &mut [Kb], t: Temp, v: Kb| temps[t.0 as usize] = v;
     for op in &block.ops {
         match op {
             TcgOp::MovI { dst, val } => set(&mut temps, *dst, Kb::constant(*val)),
@@ -276,6 +272,19 @@ mod tests {
         let h = ir_hints(&b);
         assert_eq!(h.exit_flag, Some(true));
         assert!(h.const_temps.contains(&(Temp(3), 1)));
+    }
+
+    #[test]
+    fn under_reported_n_temps_gives_the_counted_hints() {
+        let ops = vec![
+            TcgOp::MovI { dst: Temp(0), val: 6 },
+            TcgOp::MovI { dst: Temp(1), val: 7 },
+            TcgOp::Setcond { cond: CondOp::LtU, dst: Temp(2), a: Temp(0), b: Temp(1) },
+        ];
+        let exit = TbExit::CondJump { flag: Temp(2), taken: 0x2000, fallthrough: 0x1004 };
+        let counted = ir_hints(&block(ops.clone(), exit.clone(), 3));
+        assert_eq!(counted.exit_flag, Some(true));
+        assert_eq!(ir_hints(&block(ops, exit, 1)), counted);
     }
 
     #[test]

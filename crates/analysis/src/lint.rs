@@ -131,10 +131,10 @@ fn syscall_nr(block: &crate::cfg::Block) -> Option<u64> {
 /// Runs all lints.
 pub fn lint(bin: &GuestBinary, cfg: &Cfg, facts: &EscapeFacts) -> Vec<Finding> {
     let mut out = Vec::new();
+    let reachable = cfg.reachable();
 
     // --- Unreachable code: byte-coverage gaps. ---
     if !cfg.unresolved {
-        let reachable = cfg.reachable();
         let mut covered: Vec<(u64, u64)> = reachable
             .iter()
             .filter_map(|pc| cfg.blocks.get(pc))
@@ -239,7 +239,6 @@ pub fn lint(bin: &GuestBinary, cfg: &Cfg, facts: &EscapeFacts) -> Vec<Finding> {
         100_000,
     );
     if !sol.hit_limit {
-        let reachable = cfg.reachable();
         for &start in &reachable {
             let Some(b) = cfg.blocks.get(&start) else { continue };
             // Can any access still execute once this block's straight-

@@ -1326,20 +1326,16 @@ impl Emulator {
     }
 
     /// Install-time read-back check: the bytes resident in the code
-    /// cache at `host` must be exactly the canonical encoding of the
-    /// instructions that were installed.
+    /// cache at `host` must be exactly `expect`, the canonical encoding
+    /// that was installed there.
     fn check_install_bytes(
         &self,
         guest_pc: u64,
         host: u64,
-        code: &[HostInsn],
+        expect: &[u8],
     ) -> Result<(), VerifyError> {
-        let mut expect = Vec::new();
-        for i in code {
-            i.encode(&mut expect);
-        }
         let got = self.machine.code_bytes(host).unwrap_or(&[]);
-        if got != expect.as_slice() {
+        if got != expect {
             let off = expect
                 .iter()
                 .zip(got)
@@ -1460,7 +1456,10 @@ impl Emulator {
         detail: &dyn Fn() -> String,
     ) -> Result<u64, TbFault> {
         let body = |s: &mut Self| {
-            let host = s.machine.install_code(code);
+            // Encoded once: the same buffer is installed and is the
+            // read-back check's reference.
+            let bytes = HostInsn::encode_all(code);
+            let host = s.machine.install_code(&bytes);
             // A planned install-time corruption strikes the fresh region.
             let nth = s.installs_done;
             s.installs_done += 1;
@@ -1471,7 +1470,7 @@ impl Emulator {
             }
             if s.verify != VerifyLevel::Off {
                 s.verify_checked += 1;
-                if let Err(e) = s.check_install_bytes(guest_pc, host, code) {
+                if let Err(e) = s.check_install_bytes(guest_pc, host, &bytes) {
                     s.record_verify_violation(core, &e);
                     s.machine.discard_region(host);
                     return Err(TbFault::Verify);
@@ -1802,10 +1801,7 @@ impl Emulator {
                         )
                     })
                     .and_then(|()| {
-                        let mut bytes = Vec::new();
-                        for i in &code {
-                            i.encode(&mut bytes);
-                        }
+                        let bytes = HostInsn::encode_all(&code);
                         host_backend.check_encoding(&block, &code, &bytes, backend)
                     })
                     .map_err(|e| {

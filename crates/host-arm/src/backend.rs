@@ -25,7 +25,6 @@ use crate::insn::{ACond, AFpOp, AOp, Dmb, HostInsn, MemOrder, TbExitKind, Xreg};
 use crate::regalloc::{AllocStats, Allocator};
 use risotto_memmodel::FenceKind;
 use risotto_tcg::{BinOp, CondOp, Helper, TbExit, TcgBlock, TcgOp, VerifyError};
-use std::collections::HashMap;
 
 /// Errors surfaced by the TCG→MiniArm backend.
 ///
@@ -189,12 +188,17 @@ impl HostAsm {
             }
         };
         let mut offsets = Vec::with_capacity(self.items.len() + 1);
-        let mut labels: HashMap<u32, usize> = HashMap::new();
+        // label id → bound offset (label ids are dense from `fresh_label`).
+        let mut labels: Vec<Option<usize>> = vec![None; self.next_label as usize];
         let mut off = 0usize;
         for item in &self.items {
             offsets.push(off);
             if let Item::Label(l) = item {
-                labels.insert(*l, off);
+                let l = *l as usize;
+                if l >= labels.len() {
+                    labels.resize(l + 1, None);
+                }
+                labels[l] = Some(off);
             }
             off += size_of(item);
         }
@@ -208,7 +212,11 @@ impl HostAsm {
                 Item::Insn(i) => out.push(*i),
                 Item::Label(_) => {}
                 Item::BCondTo(c, l) => {
-                    let target = *labels.get(l).ok_or(BackendError::UnboundLabel { label: *l })?;
+                    let target = labels
+                        .get(*l as usize)
+                        .copied()
+                        .flatten()
+                        .ok_or(BackendError::UnboundLabel { label: *l })?;
                     out.push(HostInsn::BCond { cond: *c, rel: target as i32 - next as i32 });
                 }
             }
@@ -309,6 +317,22 @@ pub fn arm_dmb_of(k: FenceKind) -> Option<Dmb> {
 // The pluggable backend abstraction.
 // ---------------------------------------------------------------------
 
+/// The shared DBT-mode allocation pool: X9–X26.
+const DBT_POOL: [Xreg; 18] = {
+    let mut pool = [Xreg(0); 18];
+    let mut i = 0;
+    while i < pool.len() {
+        pool[i] = Xreg(9 + i as u8);
+        i += 1;
+    }
+    pool
+};
+
+/// The native direct-mapped pool: the scratch registers outside the
+/// guest-register mapping.
+const DIRECT_POOL: [Xreg; 8] =
+    [Xreg(0), Xreg(1), Xreg(2), Xreg(3), Xreg(4), Xreg(5), Xreg(26), Xreg(29)];
+
 /// The ordering-sensitive lowering hooks that differ per host ISA.
 ///
 /// [`HostInsn`] is the shared ISA-neutral *container*: ALU work, moves,
@@ -354,11 +378,11 @@ pub trait OrderingLowering {
     /// `cfg`. The default is the shared convention (X9–X26 for DBT mode,
     /// the scratch set in native direct-mapped mode); backends may shrink
     /// it to model ISAs with fewer registers.
-    fn alloc_pool(&self, cfg: BackendConfig) -> Vec<Xreg> {
+    fn alloc_pool(&self, cfg: BackendConfig) -> &'static [Xreg] {
         if cfg.direct_regs {
-            [0, 1, 2, 3, 4, 5, 26, 29].iter().map(|&r| Xreg(r)).collect()
+            &DIRECT_POOL
         } else {
-            (9..=26).map(Xreg).collect()
+            &DBT_POOL
         }
     }
 }
@@ -786,7 +810,7 @@ pub fn lower_block_with_dialect<O: OrderingLowering + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risotto_tcg::{FrontendConfig, OptPolicy};
+    use risotto_tcg::{optimize, FrontendConfig, OptPolicy, Temp};
 
     fn lower_snippet(
         f: impl FnOnce(&mut risotto_guest_x86::Assembler),
@@ -936,6 +960,44 @@ mod tests {
             HostInsn::BCond { rel, .. } => assert_eq!(rel, 2, "skip two 1-byte nops"),
             ref other => unreachable!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn under_reported_n_temps_optimizes_and_lowers_like_a_counted_block() {
+        // Every pass sizes its temp tables by `TcgBlock::temp_bound`,
+        // so a block whose `n_temps` under-reports its temps must come
+        // out exactly like a correctly counted copy.
+        let t = Temp;
+        let counted = TcgBlock {
+            guest_pc: 0x1000,
+            guest_len: 4,
+            ops: vec![
+                TcgOp::GetReg { dst: t(0), reg: 0 },
+                TcgOp::MovI { dst: t(1), val: 5 },
+                TcgOp::Bin { op: BinOp::Add, dst: t(2), a: t(0), b: t(1) },
+                TcgOp::MovI { dst: t(3), val: 0 },
+                TcgOp::Bin { op: BinOp::Mul, dst: t(4), a: t(2), b: t(3) },
+                TcgOp::Setcond { cond: CondOp::LtU, dst: t(5), a: t(0), b: t(1) },
+                TcgOp::SetReg { reg: 1, src: t(2) },
+                TcgOp::SetReg { reg: 2, src: t(4) },
+                TcgOp::Bin { op: BinOp::Xor, dst: t(6), a: t(2), b: t(0) },
+            ],
+            exit: TbExit::CondJump { flag: t(5), taken: 0x2000, fallthrough: 0x1004 },
+            n_temps: 7,
+        };
+        let mut under = TcgBlock { n_temps: 2, ..counted.clone() };
+        let mut counted = counted;
+        let a = optimize(&mut counted, OptPolicy::Verified);
+        let b = optimize(&mut under, OptPolicy::Verified);
+        assert_eq!(a, b, "same optimizer statistics");
+        assert!(a.dce_removed > 0 && a.folded > 0, "the passes did work: {a:?}");
+        assert_eq!(counted.ops, under.ops, "same optimized IR");
+        assert_eq!(counted.exit, under.exit);
+        let cfg = BackendConfig::dbt(RmwStyle::Casal);
+        let la = lower_block_with_stats(&counted, cfg).expect("counted block lowers");
+        let lb = lower_block_with_stats(&under, cfg).expect("under-reporting block lowers");
+        assert_eq!(la.insns, lb.insns, "same host code");
+        assert_eq!(la.alloc, lb.alloc, "same allocation statistics");
     }
 
     #[test]

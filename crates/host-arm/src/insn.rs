@@ -551,6 +551,16 @@ pub enum HostInsn {
 }
 
 impl HostInsn {
+    /// The encoding of a whole instruction sequence, as
+    /// [`Machine::install_code`](crate::Machine::install_code) takes it.
+    pub fn encode_all(insns: &[HostInsn]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 * insns.len());
+        for i in insns {
+            i.encode(&mut out);
+        }
+        out
+    }
+
     /// Appends the encoding to `out`; returns the encoded length.
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
         let start = out.len();

@@ -16,11 +16,11 @@
 //! use risotto_host_arm::{CostModel, Event, HostInsn, Machine, Xreg};
 //!
 //! let mut m = Machine::new(1, CostModel::thunderx2_like());
-//! let code = m.install_code(&[
+//! let code = m.install_code(&HostInsn::encode_all(&[
 //!     HostInsn::MovImm { dst: Xreg::X0, imm: 40 },
 //!     HostInsn::AluImm { op: risotto_host_arm::AOp::Add, dst: Xreg::X0, a: Xreg::X0, imm: 2 },
 //!     HostInsn::Hlt,
-//! ]);
+//! ]));
 //! m.start_core(0, code);
 //! assert_eq!(m.run(100), Event::AllHalted);
 //! assert_eq!(m.reg(0, Xreg::X0), 42);

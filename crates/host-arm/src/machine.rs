@@ -474,22 +474,19 @@ impl Machine {
         self.cores.len()
     }
 
-    /// Installs encoded host instructions; returns their start address.
+    /// Installs encoded host instructions ([`HostInsn::encode_all`]);
+    /// returns their start address.
     ///
     /// Freed regions (from [`Machine::unmap_tb`]) are reused first-fit, so
     /// retranslation churn does not grow the code buffer without bound.
-    pub fn install_code(&mut self, insns: &[HostInsn]) -> u64 {
-        let mut bytes = Vec::new();
-        for i in insns {
-            i.encode(&mut bytes);
-        }
+    pub fn install_code(&mut self, bytes: &[u8]) -> u64 {
         self.retry_pending_frees();
         self.cache_stats.installs += 1;
         let addr = match self.free_list.iter().position(|&(_, len)| len >= bytes.len()) {
             Some(slot) => {
                 self.cache_stats.region_reuses += 1;
                 let (off, len) = self.free_list.swap_remove(slot);
-                self.code[off..off + bytes.len()].copy_from_slice(&bytes);
+                self.code[off..off + bytes.len()].copy_from_slice(bytes);
                 self.forget_decoded(off, bytes.len());
                 if len > bytes.len() {
                     self.free_list.push((off + bytes.len(), len - bytes.len()));
@@ -498,7 +495,7 @@ impl Machine {
             }
             None => {
                 let off = self.code.len();
-                self.code.extend_from_slice(&bytes);
+                self.code.extend_from_slice(bytes);
                 self.decoded.resize(self.code.len(), None);
                 CODE_BASE + off as u64
             }
@@ -1269,6 +1266,11 @@ impl Machine {
         None
     }
 
+    /// Runs an out-of-line helper call. Kept out of line: helper calls
+    /// are off the per-instruction fast path, and inlining this body
+    /// into `run` made the step loop's machine code (and its speed)
+    /// swing with unrelated changes elsewhere in the crate.
+    #[inline(never)]
     fn exec_helper(&mut self, core: usize, pc: u64, helper: u8) -> Option<Event> {
         // Helper indices mirror risotto_tcg::Helper declaration order.
         let cost = self.cost;
@@ -1444,9 +1446,20 @@ impl Machine {
 mod tests {
     use super::*;
 
+    /// Tests install instruction lists; the engine installs bytes.
+    trait InstallInsns {
+        fn install(&mut self, insns: &[HostInsn]) -> u64;
+    }
+
+    impl InstallInsns for Machine {
+        fn install(&mut self, insns: &[HostInsn]) -> u64 {
+            self.install_code(&HostInsn::encode_all(insns))
+        }
+    }
+
     fn machine_with(insns: &[HostInsn]) -> (Machine, u64) {
         let mut m = Machine::new(2, CostModel::uniform());
-        let addr = m.install_code(insns);
+        let addr = m.install(insns);
         (m, addr)
     }
 
@@ -1508,7 +1521,7 @@ mod tests {
         // Core 0 buffers a store; before any drain, core 1 still reads 0.
         use HostInsn::*;
         let mut m = Machine::new(2, CostModel::uniform());
-        let w = m.install_code(&[
+        let w = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             MovImm { dst: Xreg(2), imm: 1 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1517,7 +1530,7 @@ mod tests {
             Ldr { dst: Xreg(4), base: Xreg(3), off: 0, order: MemOrder::Plain },
             Hlt,
         ]);
-        let r = m.install_code(&[
+        let r = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x6000 },
             MovImm { dst: Xreg(2), imm: 1 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1571,7 +1584,7 @@ mod tests {
     fn tb_exit_miss_and_resume() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let b1 = m.install_code(&[
+        let b1 = m.install(&[
             MovImm { dst: Xreg(0), imm: 5 },
             ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 }),
         ]);
@@ -1581,7 +1594,7 @@ mod tests {
             other => panic!("unexpected event {other:?}"),
         }
         // Engine translates 0x2000 and resumes.
-        let b2 = m.install_code(&[
+        let b2 = m.install(&[
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 1 },
             ExitTb(TbExitKind::Halt),
         ]);
@@ -1597,7 +1610,7 @@ mod tests {
         m.set_profiling(true);
         m.set_hot_threshold(Some(4));
         // Self-loop: every iteration re-enters 0x2000 through the chain.
-        let body = m.install_code(&[
+        let body = m.install(&[
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 1 },
             ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 }),
         ]);
@@ -1631,11 +1644,11 @@ mod tests {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
         // Two chained tier-1 blocks: A(0x2000) -> B(0x2008) -> halt.
-        let a = m.install_code(&[
+        let a = m.install(&[
             MovImm { dst: Xreg(0), imm: 1 },
             ExitTb(TbExitKind::Jump { guest_pc: 0x2008, chain: 0 }),
         ]);
-        let b = m.install_code(&[
+        let b = m.install(&[
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
             ExitTb(TbExitKind::Halt),
         ]);
@@ -1647,7 +1660,7 @@ mod tests {
         assert_eq!(m.chain_stats().chain_links, 1, "A chained into B");
 
         // Promote: a fused body replaces A, B is subsumed.
-        let sb = m.install_code(&[
+        let sb = m.install(&[
             MovImm { dst: Xreg(0), imm: 1 },
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 2 },
             ExitTb(TbExitKind::Halt),
@@ -1680,7 +1693,7 @@ mod tests {
             mem.write_u64(0x7000, args[0] + args[1]);
             NativeResult { ret: args[0] * args[1], cost: 10 }
         }));
-        let a = m.install_code(&[
+        let a = m.install(&[
             MovImm { dst: Xreg(0), imm: 6 },
             MovImm { dst: Xreg(1), imm: 7 },
             NativeCall { func: id },
@@ -1697,7 +1710,7 @@ mod tests {
     fn dmb_st_does_not_drain_but_dmb_ff_does() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[
+        let a = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             MovImm { dst: Xreg(2), imm: 7 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1720,7 +1733,7 @@ mod tests {
     fn release_store_keeps_fifo_order() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[
+        let a = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             MovImm { dst: Xreg(2), imm: 1 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1744,7 +1757,7 @@ mod tests {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
         // Store, then spin long enough for the age-based drain.
-        let a = m.install_code(&[
+        let a = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             MovImm { dst: Xreg(2), imm: 9 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1767,7 +1780,7 @@ mod tests {
         // Core 0 takes a monitor; core 1's buffered store to the same
         // address drains and must clear it, failing core 0's stxr.
         let mut m = Machine::new(2, CostModel::uniform());
-        let c0 = m.install_code(&[
+        let c0 = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             Ldxr { dst: Xreg(2), addr: Xreg(1), acquire: false },
             // Spin to give core 1 time to write + drain.
@@ -1779,7 +1792,7 @@ mod tests {
             Stxr { status: Xreg(5), src: Xreg(4), addr: Xreg(1), release: false },
             Hlt,
         ]);
-        let c1 = m.install_code(&[
+        let c1 = m.install(&[
             MovImm { dst: Xreg(1), imm: 0x5000 },
             MovImm { dst: Xreg(2), imm: 7 },
             Str { src: Xreg(2), base: Xreg(1), off: 0, order: MemOrder::Plain },
@@ -1799,7 +1812,7 @@ mod tests {
         let model = CostModel::thunderx2_like();
         // Two cores CAS the same address repeatedly vs different addresses.
         let build = |m: &mut Machine, addr: u64| {
-            m.install_code(&[
+            m.install(&[
                 MovImm { dst: Xreg(1), imm: addr },
                 MovImm { dst: Xreg(4), imm: 200 },
                 // loop:
@@ -1840,7 +1853,7 @@ mod tests {
     /// (x0 = 1..=4 jump back, x0 = 5 halts).
     fn looping_tb(m: &mut Machine) -> u64 {
         use HostInsn::*;
-        let a = m.install_code(&[
+        let a = m.install(&[
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 1 },
             CmpImm { a: Xreg(0), imm: 5 },
             BCond { cond: ACond::Eq, rel: 18 }, // over the 18-byte Jump exit
@@ -1884,7 +1897,7 @@ mod tests {
     fn jumpreg_exits_use_the_jump_cache() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[
+        let a = m.install(&[
             AluImm { op: AOp::Add, dst: Xreg(0), a: Xreg(0), imm: 1 },
             CmpImm { a: Xreg(0), imm: 5 },
             BCond { cond: ACond::Eq, rel: 3 }, // over the 3-byte JumpReg exit
@@ -1904,8 +1917,8 @@ mod tests {
     fn unmap_unlinks_chains_and_stale_body_never_runs() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
-        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 42 }, ExitTb(TbExitKind::Halt)]);
+        let a = m.install(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
+        let b = m.install(&[MovImm { dst: Xreg(1), imm: 42 }, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x1000, a);
         m.map_tb(0x2000, b);
         m.start_core(0, a);
@@ -1926,7 +1939,7 @@ mod tests {
         assert_eq!(m.reg(0, Xreg(1)), 0, "the stale body must never execute");
 
         // The engine retranslates; possibly into the reclaimed region.
-        let b2 = m.install_code(&[MovImm { dst: Xreg(1), imm: 43 }, ExitTb(TbExitKind::Halt)]);
+        let b2 = m.install(&[MovImm { dst: Xreg(1), imm: 43 }, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x2000, b2);
         assert_eq!(m.run(100), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(1)), 43, "the new body executes after relink");
@@ -1936,8 +1949,8 @@ mod tests {
     fn jcache_is_flushed_on_unmap() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[ExitTb(TbExitKind::JumpReg { reg: Xreg(9) })]);
-        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 42 }, ExitTb(TbExitKind::Halt)]);
+        let a = m.install(&[ExitTb(TbExitKind::JumpReg { reg: Xreg(9) })]);
+        let b = m.install(&[MovImm { dst: Xreg(1), imm: 42 }, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x2000, b);
         m.set_reg(0, Xreg(9), 0x2000);
         m.start_core(0, a);
@@ -1959,12 +1972,12 @@ mod tests {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
         let body = [MovImm { dst: Xreg(1), imm: 7 }, ExitTb(TbExitKind::Halt)];
-        let a = m.install_code(&body);
+        let a = m.install(&body);
         m.map_tb(0x1000, a);
         let size = m.code_size();
         for _ in 0..50 {
             assert!(m.unmap_tb(0x1000));
-            let b = m.install_code(&body);
+            let b = m.install(&body);
             assert_eq!(b, a, "same-size retranslation reuses the freed region");
             m.map_tb(0x1000, b);
         }
@@ -1979,7 +1992,7 @@ mod tests {
         code.push(MovImm { dst: Xreg(2), imm: 1 });
         code.push(LdaddAl { old: Xreg(0), addend: Xreg(2), addr: Xreg(1) });
         code.push(Hlt);
-        m.install_code(&code)
+        m.install(&code)
     }
 
     #[test]
@@ -2030,7 +2043,7 @@ mod tests {
     /// each followed by a racy plain increment of the word at `addr + 8`.
     fn cas_loop(m: &mut Machine, addr: u64, iters: u64) -> u64 {
         use HostInsn::*;
-        m.install_code(&[
+        m.install(&[
             MovImm { dst: Xreg(1), imm: addr },
             MovImm { dst: Xreg(4), imm: iters },
             // loop:
@@ -2064,27 +2077,27 @@ mod tests {
 
         // Region reuse: a same-length block installed into the freed hole
         // of an executed one runs its own instructions.
-        let a = m.install_code(&[MovImm { dst: Xreg(1), imm: 1 }, ExitTb(TbExitKind::Halt)]);
+        let a = m.install(&[MovImm { dst: Xreg(1), imm: 1 }, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x1000, a);
         assert_eq!(run_from(&mut m, a), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(1)), 1);
         assert!(m.unmap_tb(0x1000));
-        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 2 }, ExitTb(TbExitKind::Halt)]);
+        let b = m.install(&[MovImm { dst: Xreg(1), imm: 2 }, ExitTb(TbExitKind::Halt)]);
         assert_eq!(b, a, "the freed hole is reused");
         assert_eq!(run_from(&mut m, b), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(1)), 2, "stale decode of the old block ran");
 
         // Chain re-patch: an executed, patched chain site is relinked when
         // its target moves, and the next traversal follows the new word.
-        let site = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
-        let t1 = m.install_code(&[MovImm { dst: Xreg(1), imm: 10 }, ExitTb(TbExitKind::Halt)]);
+        let site = m.install(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
+        let t1 = m.install(&[MovImm { dst: Xreg(1), imm: 10 }, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x2000, t1);
         for _ in 0..2 {
             assert_eq!(run_from(&mut m, site), Event::AllHalted);
             assert_eq!(m.reg(0, Xreg(1)), 10);
         }
         assert_eq!(m.chain_stats().chain_hits, 1, "the patched slot was executed");
-        let t2 = m.install_code(&[MovImm { dst: Xreg(1), imm: 11 }, Nop, ExitTb(TbExitKind::Halt)]);
+        let t2 = m.install(&[MovImm { dst: Xreg(1), imm: 11 }, Nop, ExitTb(TbExitKind::Halt)]);
         m.map_tb(0x2000, t2);
         assert_eq!(run_from(&mut m, site), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(1)), 11, "the stale chain word was followed");
@@ -2108,7 +2121,7 @@ mod tests {
     fn parked_in_region_free_is_deferred() {
         use HostInsn::*;
         let mut m = Machine::new(1, CostModel::uniform());
-        let a = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
+        let a = m.install(&[ExitTb(TbExitKind::Jump { guest_pc: 0x2000, chain: 0 })]);
         m.map_tb(0x1000, a);
         m.start_core(0, a);
         assert!(matches!(m.run(100), Event::TranslationMiss { .. }));
@@ -2116,13 +2129,13 @@ mod tests {
         // must not be handed to the next (12-byte) install while the core
         // still sits there.
         assert!(m.unmap_tb(0x1000));
-        let b = m.install_code(&[MovImm { dst: Xreg(1), imm: 7 }, ExitTb(TbExitKind::Halt)]);
+        let b = m.install(&[MovImm { dst: Xreg(1), imm: 7 }, ExitTb(TbExitKind::Halt)]);
         assert_ne!(b, a, "a parked-in region must not be reused");
         m.map_tb(0x2000, b);
         assert_eq!(m.run(100), Event::AllHalted);
         assert_eq!(m.reg(0, Xreg(1)), 7);
         // Once the core has left, the deferred free is honoured.
-        let c = m.install_code(&[ExitTb(TbExitKind::Jump { guest_pc: 0x3000, chain: 0 })]);
+        let c = m.install(&[ExitTb(TbExitKind::Jump { guest_pc: 0x3000, chain: 0 })]);
         assert_eq!(c, a, "deferred region is reclaimed after the core moves on");
     }
 }

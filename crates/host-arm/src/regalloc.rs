@@ -45,7 +45,7 @@
 
 use crate::backend::{BackendError, HostAsm, ENV_BASE, SPILL_BASE};
 use crate::insn::{HostInsn, MemOrder, Xreg};
-use risotto_tcg::{env, TbExit, TcgBlock, TcgOp, Temp};
+use risotto_tcg::{env, TcgBlock, TcgOp, Temp};
 
 /// Per-block register-allocation statistics, summed by the engine into
 /// the `regalloc.*` registry metrics (docs/METRICS.md).
@@ -87,98 +87,145 @@ impl std::ops::AddAssign for AllocStats {
 /// The read positions and live ranges of every value in a block.
 #[derive(Debug)]
 struct Liveness {
-    /// Number of temp values (`>= block.n_temps`, robust against blocks
-    /// whose `n_temps` under-reports — the backend must not rely on the
-    /// IR lint having run).
+    /// Number of temp values ([`TcgBlock::temp_bound`], robust against
+    /// blocks whose `n_temps` under-reports — the backend must not rely
+    /// on the IR lint having run).
     n_temps: usize,
-    /// value id → sorted op positions where the value is *read*
+    /// Every value's read positions, grouped by value id: value `v`
+    /// owns `reads[starts[v]..starts[v + 1]]`, in ascending op order
     /// (`ops.len()` is the block exit).
-    reads: Vec<Vec<usize>>,
+    reads: Vec<usize>,
+    /// value id → start of its run in `reads`; one extra trailing entry.
+    starts: Vec<usize>,
     /// value id → last position referencing the value (read or write).
     last_ref: Vec<usize>,
 }
 
 impl Liveness {
     fn of(block: &TcgBlock, manage_env: bool) -> Liveness {
-        let mut max_temp = block.n_temps as usize;
-        let mut note = |t: Temp| max_temp = max_temp.max(t.0 as usize + 1);
-        for op in &block.ops {
-            for u in op.uses() {
-                note(u);
-            }
-            if let Some(d) = op.def() {
-                note(d);
-            }
-        }
-        match &block.exit {
-            TbExit::JumpReg(t) => note(*t),
-            TbExit::CondJump { flag, .. } => note(*flag),
-            _ => {}
-        }
-        let n_values = max_temp + if manage_env { env::COUNT } else { 0 };
-        let mut l = Liveness {
-            n_temps: max_temp,
-            reads: vec![Vec::new(); n_values],
-            last_ref: vec![0; n_values],
-        };
-        // `alias` mirrors the allocator's GetReg aliasing: while a temp
-        // aliases an env value, its reads are the env value's reads (the
-        // deferred pin fill happens at the first such read). The chain
-        // breaks when the temp is redefined or the env register is
-        // overwritten — exactly as it will during lowering, so the
+        let n_temps = block.temp_bound();
+        let n_values = n_temps + if manage_env { env::COUNT } else { 0 };
+        let mut last_ref = vec![0; n_values];
+        // `(value, pos)` for every read, in op order. A stable counting
+        // sort by value then groups them without disturbing each
+        // value's ascending positions.
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(3 * block.ops.len() + 2);
+        // `aliases` mirrors the allocator's GetReg aliasing: while a
+        // temp aliases an env value, its reads are the env value's reads
+        // (the deferred pin fill happens at the first such read). The
+        // chain breaks when the temp is redefined or the env register
+        // is overwritten — exactly as it will during lowering, so the
         // next-use information the Belady policy sees is exact.
-        let mut alias: Vec<Option<usize>> = vec![None; max_temp];
-        for (i, op) in block.ops.iter().enumerate() {
-            for u in op.uses() {
-                let t = u.0 as usize;
-                l.reads[t].push(i);
-                l.last_ref[t] = i;
-                if let Some(v) = alias[t] {
-                    l.reads[v].push(i);
-                    l.last_ref[v] = i;
-                }
+        let mut aliases = EnvAliases::new(n_temps);
+        let read = |pairs: &mut Vec<(usize, usize)>,
+                    last_ref: &mut [usize],
+                    aliases: &EnvAliases,
+                    t: Temp,
+                    i: usize| {
+            let t = t.0 as usize;
+            pairs.push((t, i));
+            last_ref[t] = i;
+            if let Some(v) = aliases.of(t) {
+                pairs.push((v, i));
+                last_ref[v] = i;
             }
+        };
+        for (i, op) in block.ops.iter().enumerate() {
+            op.for_each_use(|u| read(&mut pairs, &mut last_ref, &aliases, u, i));
             if manage_env {
                 match op {
                     TcgOp::GetReg { dst, reg } => {
-                        alias[dst.0 as usize] = Some(max_temp + *reg as usize);
-                        l.last_ref[dst.0 as usize] = i;
+                        aliases.set(dst.0 as usize, *reg);
+                        last_ref[dst.0 as usize] = i;
                         continue;
                     }
                     TcgOp::SetReg { reg, src } => {
-                        let v = max_temp + *reg as usize;
+                        let v = n_temps + *reg as usize;
                         // A self-copy (`src` aliases this very register)
                         // leaves the value unchanged: aliases survive.
-                        if alias[src.0 as usize] != Some(v) {
-                            for a in alias.iter_mut().filter(|a| **a == Some(v)) {
-                                *a = None;
-                            }
+                        if aliases.of(src.0 as usize) != Some(v) {
+                            aliases.overwrite(*reg);
                         }
-                        l.last_ref[v] = i;
+                        last_ref[v] = i;
                     }
                     _ => {}
                 }
             }
             if let Some(d) = op.def() {
                 let t = d.0 as usize;
-                l.last_ref[t] = i;
-                alias[t] = None;
+                last_ref[t] = i;
+                aliases.clear(t);
             }
         }
-        let exit_pos = block.ops.len();
-        match &block.exit {
-            TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } => {
-                let t = t.0 as usize;
-                l.reads[t].push(exit_pos);
-                l.last_ref[t] = exit_pos;
-                if let Some(v) = alias[t] {
-                    l.reads[v].push(exit_pos);
-                    l.last_ref[v] = exit_pos;
-                }
-            }
-            _ => {}
+        if let Some(t) = block.exit.use_temp() {
+            read(&mut pairs, &mut last_ref, &aliases, t, block.ops.len());
         }
-        l
+        // Counting sort: count per value, prefix-sum into run starts,
+        // then place each position at its value's cursor. The cursors
+        // end one run further on, so shifting them by one restores the
+        // starts.
+        let mut starts = vec![0; n_values + 1];
+        for &(v, _) in &pairs {
+            starts[v + 1] += 1;
+        }
+        for v in 0..n_values {
+            starts[v + 1] += starts[v];
+        }
+        let mut reads = vec![0; pairs.len()];
+        for &(v, pos) in &pairs {
+            reads[starts[v]] = pos;
+            starts[v] += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Liveness { n_temps, reads, starts, last_ref }
+    }
+
+    /// Number of values (temps, then env registers in DBT mode).
+    fn n_values(&self) -> usize {
+        self.last_ref.len()
+    }
+
+    /// `v`'s read positions, ascending.
+    fn reads_of(&self, v: usize) -> &[usize] {
+        &self.reads[self.starts[v]..self.starts[v + 1]]
+    }
+}
+
+/// The `GetReg` aliases of the liveness walk. Each alias records the
+/// write generation of its env register; overwriting the register bumps
+/// the generation, which breaks every alias of it at once.
+struct EnvAliases {
+    n_temps: usize,
+    /// temp id → (env value id, generation when aliased).
+    alias: Vec<Option<(usize, u32)>>,
+    /// env index → write generation.
+    generation: [u32; env::COUNT],
+}
+
+impl EnvAliases {
+    fn new(n_temps: usize) -> EnvAliases {
+        EnvAliases { n_temps, alias: vec![None; n_temps], generation: [0; env::COUNT] }
+    }
+
+    /// The env value temp `t` currently aliases, if any.
+    fn of(&self, t: usize) -> Option<usize> {
+        self.alias[t].filter(|&(v, g)| self.generation[v - self.n_temps] == g).map(|(v, _)| v)
+    }
+
+    /// `t` now aliases env register `reg`.
+    fn set(&mut self, t: usize, reg: u8) {
+        self.alias[t] = Some((self.n_temps + reg as usize, self.generation[reg as usize]));
+    }
+
+    /// `t` was redefined.
+    fn clear(&mut self, t: usize) {
+        self.alias[t] = None;
+    }
+
+    /// Env register `reg` was overwritten.
+    fn overwrite(&mut self, reg: u8) {
+        self.generation[reg as usize] += 1;
     }
 }
 
@@ -186,13 +233,15 @@ impl Liveness {
 #[derive(Debug)]
 pub(crate) struct Allocator {
     live: Liveness,
-    pool: Vec<Xreg>,
+    pool: &'static [Xreg],
     /// Whether env registers participate (false in native/direct mode).
     manage_env: bool,
     /// value id → currently assigned host register.
     loc: Vec<Option<Xreg>>,
     /// host register number → value id held.
     holder: [Option<usize>; 32],
+    /// Bit `r` set ⇔ `holder[r]` is `Some`: the occupied registers.
+    held: u32,
     /// value id → register copy is newer than the value's memory home.
     dirty: Vec<bool>,
     /// temp id → the temp has been defined (in a register or its slot).
@@ -220,9 +269,9 @@ pub(crate) struct Allocator {
 }
 
 impl Allocator {
-    pub(crate) fn new(block: &TcgBlock, pool: Vec<Xreg>, manage_env: bool) -> Allocator {
+    pub(crate) fn new(block: &TcgBlock, pool: &'static [Xreg], manage_env: bool) -> Allocator {
         let live = Liveness::of(block, manage_env);
-        let n_values = live.reads.len();
+        let n_values = live.n_values();
         let n_temps = live.n_temps;
         Allocator {
             live,
@@ -230,6 +279,7 @@ impl Allocator {
             manage_env,
             loc: vec![None; n_values],
             holder: [None; 32],
+            held: 0,
             dirty: vec![false; n_values],
             defined: vec![false; n_temps],
             in_slot: vec![false; n_temps],
@@ -250,7 +300,7 @@ impl Allocator {
     /// the value is never read again).
     fn next_use(&mut self, v: usize, idx: usize) -> usize {
         let c = &mut self.cursor[v];
-        let reads = &self.live.reads[v];
+        let reads = self.live.reads_of(v);
         while *c < reads.len() && reads[*c] < idx {
             *c += 1;
         }
@@ -260,20 +310,29 @@ impl Allocator {
     fn bind(&mut self, r: Xreg, v: usize) {
         self.loc[v] = Some(r);
         self.holder[r.0 as usize] = Some(v);
+        self.held |= 1 << r.0;
+    }
+
+    /// Empties register `r` (the caller updates its former value).
+    fn unbind(&mut self, r: Xreg) {
+        self.holder[r.0 as usize] = None;
+        self.held &= !(1 << r.0);
     }
 
     /// Frees registers whose value is dead (past its last reference).
     /// Dirty env values survive — their deferred write-back is still
-    /// owed at the next flush point.
+    /// owed at the next flush point. Only occupied registers are
+    /// visited; each is decided on its own, so the order is immaterial.
     pub(crate) fn free_dead(&mut self, idx: usize) {
-        for i in 0..self.pool.len() {
-            let r = self.pool[i];
-            if let Some(v) = self.holder[r.0 as usize] {
-                if self.live.last_ref[v] < idx && !(self.is_env(v) && self.dirty[v]) {
-                    self.loc[v] = None;
-                    self.dirty[v] = false;
-                    self.holder[r.0 as usize] = None;
-                }
+        let mut held = self.held;
+        while held != 0 {
+            let r = Xreg(held.trailing_zeros() as u8);
+            held &= held - 1;
+            let Some(v) = self.holder[r.0 as usize] else { continue };
+            if self.live.last_ref[v] < idx && !(self.is_env(v) && self.dirty[v]) {
+                self.loc[v] = None;
+                self.dirty[v] = false;
+                self.unbind(r);
             }
         }
     }
@@ -307,7 +366,7 @@ impl Allocator {
             self.dirty[v] = false;
         }
         self.loc[v] = None;
-        self.holder[r.0 as usize] = None;
+        self.unbind(r);
     }
 
     /// Claims a register: the first free pool register in pool order,
@@ -452,7 +511,7 @@ impl Allocator {
         // MovI (re)defines dst: drop any register or alias it held (the
         // old register still holds its old bits — no write happened).
         if let Some(r) = self.loc[v] {
-            self.holder[r.0 as usize] = None;
+            self.unbind(r);
             self.loc[v] = None;
         }
         self.alias[v] = None;
@@ -503,7 +562,7 @@ impl Allocator {
         let t = dst.0 as usize;
         // GetReg (re)defines dst: drop any register it held.
         if let Some(r) = self.loc[t] {
-            self.holder[r.0 as usize] = None;
+            self.unbind(r);
             self.loc[t] = None;
         }
         self.alias[t] = Some(self.live.n_temps + reg as usize);
@@ -595,7 +654,7 @@ impl Allocator {
         // codegen does — and leave nothing for the flush to do.
         if self.live.last_ref[v] <= idx {
             if let Some(r_old) = self.loc[v] {
-                self.holder[r_old.0 as usize] = None;
+                self.unbind(r_old);
                 self.loc[v] = None;
             }
             asm.push(HostInsn::Str {
@@ -615,7 +674,7 @@ impl Allocator {
             && self.live.last_ref[src_v] <= idx
         {
             if let Some(r_old) = self.loc[v] {
-                self.holder[r_old.0 as usize] = None;
+                self.unbind(r_old);
             }
             self.loc[src_v] = None;
             self.bind(rs, v);
@@ -684,7 +743,7 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risotto_tcg::BinOp;
+    use risotto_tcg::{BinOp, TbExit};
 
     fn block_with(ops: Vec<TcgOp>, exit: TbExit, n_temps: u32) -> TcgBlock {
         TcgBlock { guest_pc: 0x1000, guest_len: 4, ops, exit, n_temps }
@@ -704,11 +763,11 @@ mod tests {
             2,
         );
         let l = Liveness::of(&b, true);
-        assert_eq!(l.reads[0], vec![2, 3], "t0 read by the Bin op and the exit");
-        assert_eq!(l.reads[1], vec![2]);
+        assert_eq!(l.reads_of(0), [2, 3], "t0 read by the Bin op and the exit");
+        assert_eq!(l.reads_of(1), [2]);
         // The GetReg defers the env read to t1's actual use (the Bin op
         // at position 2) via the alias chain.
-        assert_eq!(l.reads[l.n_temps + 3], vec![2], "env 3 is read where its alias t1 is used");
+        assert_eq!(l.reads_of(l.n_temps + 3), [2], "env 3 is read where its alias t1 is used");
         assert_eq!(l.last_ref[l.n_temps + 3], 2);
         assert_eq!(l.last_ref[0], 3);
     }

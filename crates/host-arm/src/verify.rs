@@ -249,10 +249,7 @@ pub fn check_encoding_with<D: EncodingDialect + ?Sized>(
     dialect: &D,
 ) -> Result<(), VerifyError> {
     // 1. Byte fidelity: canonical re-encoding matches...
-    let mut expect = Vec::with_capacity(bytes.len());
-    for i in insns {
-        i.encode(&mut expect);
-    }
+    let expect = HostInsn::encode_all(insns);
     if expect != bytes {
         let at = expect.iter().zip(bytes).position(|(a, b)| a != b);
         return Err(err(

@@ -292,19 +292,37 @@ impl TcgOp {
         }
     }
 
-    /// The temps this op reads.
-    pub fn uses(&self) -> Vec<Temp> {
+    /// Calls `f` on every temp this op reads, in operand order (a temp
+    /// read twice is visited twice). Allocation-free: the optimizer,
+    /// the register allocator's liveness prepass and the IR lint walk
+    /// every op of every block through this.
+    pub fn for_each_use(&self, mut f: impl FnMut(Temp)) {
         match self {
-            TcgOp::MovI { .. } | TcgOp::GetReg { .. } | TcgOp::Fence(_) => vec![],
-            TcgOp::TbBoundary { .. } => vec![],
-            TcgOp::SideExit { flag, .. } => vec![*flag],
-            TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => vec![*src],
-            TcgOp::Ld { addr, .. } | TcgOp::Ld8 { addr, .. } => vec![*addr],
-            TcgOp::St { addr, src } | TcgOp::St8 { addr, src } => vec![*addr, *src],
-            TcgOp::Bin { a, b, .. } | TcgOp::Setcond { a, b, .. } => vec![*a, *b],
-            TcgOp::Cas { addr, expect, new, .. } => vec![*addr, *expect, *new],
-            TcgOp::AtomicAdd { addr, val, .. } => vec![*addr, *val],
-            TcgOp::CallHelper { args, .. } => args.clone(),
+            TcgOp::MovI { .. }
+            | TcgOp::GetReg { .. }
+            | TcgOp::Fence(_)
+            | TcgOp::TbBoundary { .. } => {}
+            TcgOp::SideExit { flag, .. } => f(*flag),
+            TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => f(*src),
+            TcgOp::Ld { addr, .. } | TcgOp::Ld8 { addr, .. } => f(*addr),
+            TcgOp::St { addr, src } | TcgOp::St8 { addr, src } => {
+                f(*addr);
+                f(*src);
+            }
+            TcgOp::Bin { a, b, .. } | TcgOp::Setcond { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            TcgOp::Cas { addr, expect, new, .. } => {
+                f(*addr);
+                f(*expect);
+                f(*new);
+            }
+            TcgOp::AtomicAdd { addr, val, .. } => {
+                f(*addr);
+                f(*val);
+            }
+            TcgOp::CallHelper { args, .. } => args.iter().copied().for_each(f),
         }
     }
 
@@ -384,7 +402,37 @@ pub struct TcgBlock {
     pub n_temps: u32,
 }
 
+impl TbExit {
+    /// The temp this exit reads, if any.
+    pub fn use_temp(&self) -> Option<Temp> {
+        match self {
+            TbExit::JumpReg(t) | TbExit::CondJump { flag: t, .. } => Some(*t),
+            TbExit::Jump(_) | TbExit::Halt | TbExit::Syscall { .. } => None,
+        }
+    }
+}
+
 impl TcgBlock {
+    /// The size every dense per-temp table of a pass over this block
+    /// needs: the larger of `n_temps` and one past the largest temp any
+    /// op or the exit references. Equal to `n_temps` for well-formed
+    /// blocks; passes size by this rather than trusting `n_temps`, so a
+    /// block that under-reports it cannot index out of bounds.
+    pub fn temp_bound(&self) -> usize {
+        let mut bound = self.n_temps as usize;
+        let mut note = |t: Temp| bound = bound.max(t.0 as usize + 1);
+        for op in &self.ops {
+            op.for_each_use(&mut note);
+            if let Some(d) = op.def() {
+                note(d);
+            }
+        }
+        if let Some(t) = self.exit.use_temp() {
+            note(t);
+        }
+        bound
+    }
+
     /// Allocates a fresh temp.
     pub fn new_temp(&mut self) -> Temp {
         let t = Temp(self.n_temps);
@@ -417,11 +465,17 @@ impl fmt::Display for TcgBlock {
 mod tests {
     use super::*;
 
+    fn uses(op: &TcgOp) -> Vec<Temp> {
+        let mut out = Vec::new();
+        op.for_each_use(|t| out.push(t));
+        out
+    }
+
     #[test]
     fn def_use_classification() {
         let op = TcgOp::Bin { op: BinOp::Add, dst: Temp(2), a: Temp(0), b: Temp(1) };
         assert_eq!(op.def(), Some(Temp(2)));
-        assert_eq!(op.uses(), vec![Temp(0), Temp(1)]);
+        assert_eq!(uses(&op), vec![Temp(0), Temp(1)]);
         assert!(!op.has_side_effect());
         let st = TcgOp::St { addr: Temp(0), src: Temp(1) };
         assert!(st.has_side_effect());
@@ -436,12 +490,12 @@ mod tests {
     fn superblock_marker_classification() {
         let se = TcgOp::SideExit { flag: Temp(4), stay_if: true, target: 0x2000 };
         assert_eq!(se.def(), None);
-        assert_eq!(se.uses(), vec![Temp(4)], "guard flag must stay live");
+        assert_eq!(uses(&se), vec![Temp(4)], "guard flag must stay live");
         assert!(se.has_side_effect(), "side exits are never DCE'd");
         assert!(!se.is_memory_access(), "fences may merge across a side exit");
         let tb = TcgOp::TbBoundary { pc: 0x2000 };
         assert_eq!(tb.def(), None);
-        assert!(tb.uses().is_empty());
+        assert!(uses(&tb).is_empty());
         assert!(tb.has_side_effect());
         assert!(!tb.is_memory_access(), "seams don't block fence merging");
     }
@@ -454,6 +508,24 @@ mod tests {
         assert_eq!(BinOp::Shl.apply(1, 64), 1, "masked count");
         assert_eq!(CondOp::LtS.apply(u64::MAX, 0), 1);
         assert_eq!(CondOp::LtU.apply(u64::MAX, 0), 0);
+    }
+
+    #[test]
+    fn temp_bound_covers_every_referenced_temp() {
+        let mut b = TcgBlock {
+            guest_pc: 0,
+            guest_len: 0,
+            ops: vec![TcgOp::Mov { dst: Temp(1), src: Temp(0) }],
+            exit: TbExit::Halt,
+            n_temps: 2,
+        };
+        assert_eq!(b.temp_bound(), 2, "a correctly counted block is bounded by n_temps");
+        b.n_temps = 0;
+        assert_eq!(b.temp_bound(), 2, "an under-reporting block is bounded by its defs");
+        b.exit = TbExit::JumpReg(Temp(5));
+        assert_eq!(b.temp_bound(), 6, "the exit's temp counts too");
+        b.n_temps = 9;
+        assert_eq!(b.temp_bound(), 9);
     }
 
     #[test]

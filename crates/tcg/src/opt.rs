@@ -20,7 +20,6 @@
 
 use crate::ir::{TbExit, TcgBlock, TcgOp, Temp};
 use risotto_memmodel::FenceKind;
-use std::collections::HashMap;
 
 /// Which elimination side conditions the memory-forwarding pass uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,8 +184,10 @@ pub fn optimize(block: &mut TcgBlock, policy: OptPolicy) -> OptStats {
 /// Runs a configurable pass pipeline in place.
 pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig) -> OptStats {
     let mut stats = OptStats::default();
+    // No pass introduces a temp, so one bound serves the whole pipeline.
+    let bound = block.temp_bound();
     if passes.constant_fold {
-        stats.folded += constant_fold(block);
+        stats.folded += fold(block, bound);
     }
     if passes.forward_memory {
         forward_memory(block, policy, &mut stats);
@@ -198,14 +199,14 @@ pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig
         stats.fences_merged_cross += cross;
     }
     if passes.dce {
-        stats.dce_removed += dce(block);
+        stats.dce_removed += dce_bounded(block, bound);
     }
     // A second fold round cleans up values exposed by forwarding.
     if passes.constant_fold {
-        stats.folded += constant_fold(block);
+        stats.folded += fold(block, bound);
     }
     if passes.dce {
-        stats.dce_removed += dce(block);
+        stats.dce_removed += dce_bounded(block, bound);
     }
     stats
 }
@@ -217,112 +218,125 @@ pub fn optimize_with(block: &mut TcgBlock, policy: OptPolicy, passes: PassConfig
 /// Folds constants and propagates copies; returns the number of ops
 /// rewritten.
 pub fn constant_fold(block: &mut TcgBlock) -> usize {
+    fold(block, block.temp_bound())
+}
+
+/// [`constant_fold`] with the block's [`TcgBlock::temp_bound`] given.
+/// Every op is rewritten in place: the pass maps each op to exactly one
+/// op.
+fn fold(block: &mut TcgBlock, bound: usize) -> usize {
     use crate::ir::BinOp;
-    let mut konst: HashMap<Temp, u64> = HashMap::new();
-    let mut alias: HashMap<Temp, Temp> = HashMap::new();
+    // Dense per-temp tables: temp → known constant, temp → the copy
+    // source it aliases.
+    let mut konst: Vec<Option<u64>> = vec![None; bound];
+    let mut alias: Vec<Option<Temp>> = vec![None; bound];
     // Track which temp (if any) currently holds each env register's value,
     // so constants and copies propagate through SetReg/GetReg round-trips.
     let mut env_alias: [Option<Temp>; crate::ir::env::COUNT] = [None; crate::ir::env::COUNT];
     let mut changed = 0usize;
 
-    let ops = std::mem::take(&mut block.ops);
-    let mut out = Vec::with_capacity(ops.len());
-    for mut op in ops {
+    for op in block.ops.iter_mut() {
         // Canonicalize uses through the alias map.
-        rewrite_uses(&mut op, &alias);
+        rewrite_uses(op, &alias);
         // Env-register forwarding: rewrite GetReg into a copy of the temp
         // last stored to that register.
-        if let TcgOp::GetReg { dst, reg } = op {
+        if let TcgOp::GetReg { dst, reg } = *op {
             if let Some(src) = env_alias[reg as usize] {
                 changed += 1;
-                op = TcgOp::Mov { dst, src };
+                *op = TcgOp::Mov { dst, src };
             }
         }
-        if let TcgOp::SetReg { reg, src } = &op {
-            env_alias[*reg as usize] = Some(resolve(&alias, *src));
+        if let TcgOp::SetReg { reg, src } = *op {
+            env_alias[reg as usize] = Some(resolve(&alias, src));
         }
-        match &op {
+        // A copy of `src` into `dst`: a constant when `src` is one,
+        // else an alias.
+        let mut copy = |dst: Temp, src: Temp, konst: &mut [Option<u64>]| match konst[src.0 as usize]
+        {
+            Some(v) => {
+                konst[dst.0 as usize] = Some(v);
+                Some(TcgOp::MovI { dst, val: v })
+            }
+            None => {
+                alias[dst.0 as usize] = Some(resolve(&alias, src));
+                None
+            }
+        };
+        let rewritten = match *op {
             TcgOp::MovI { dst, val } => {
-                konst.insert(*dst, *val);
+                konst[dst.0 as usize] = Some(val);
+                None
             }
             TcgOp::Mov { dst, src } => {
-                if let Some(v) = konst.get(src).copied() {
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
-                    changed += 1;
-                    continue;
-                }
-                alias.insert(*dst, resolve(&alias, *src));
-                out.push(op);
-                continue;
+                let folded = copy(dst, src, &mut konst);
+                changed += folded.is_some() as usize;
+                folded
             }
             TcgOp::Bin { op: bop, dst, a, b } => {
-                let ka = konst.get(a).copied();
-                let kb = konst.get(b).copied();
+                let ka = konst[a.0 as usize];
+                let kb = konst[b.0 as usize];
                 if let (Some(x), Some(y)) = (ka, kb) {
                     let v = bop.apply(x, y);
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
+                    konst[dst.0 as usize] = Some(v);
                     changed += 1;
-                    continue;
-                }
-                // Algebraic simplifications (false-dependency elimination,
-                // §6.1): results that no longer depend on the variable
-                // operand.
-                let simplified: Option<TcgOp> = match bop {
-                    BinOp::Mul if ka == Some(0) || kb == Some(0) => {
-                        Some(TcgOp::MovI { dst: *dst, val: 0 })
-                    }
-                    BinOp::And if ka == Some(0) || kb == Some(0) => {
-                        Some(TcgOp::MovI { dst: *dst, val: 0 })
-                    }
-                    BinOp::Xor | BinOp::Sub if a == b => Some(TcgOp::MovI { dst: *dst, val: 0 }),
-                    BinOp::Add | BinOp::Or | BinOp::Xor if ka == Some(0) => {
-                        Some(TcgOp::Mov { dst: *dst, src: *b })
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-                        if kb == Some(0) =>
-                    {
-                        Some(TcgOp::Mov { dst: *dst, src: *a })
-                    }
-                    BinOp::Mul if kb == Some(1) => Some(TcgOp::Mov { dst: *dst, src: *a }),
-                    BinOp::Mul if ka == Some(1) => Some(TcgOp::Mov { dst: *dst, src: *b }),
-                    _ => None,
-                };
-                if let Some(s) = simplified {
-                    changed += 1;
-                    match &s {
-                        TcgOp::MovI { dst, val } => {
-                            konst.insert(*dst, *val);
+                    Some(TcgOp::MovI { dst, val: v })
+                } else {
+                    // Algebraic simplifications (false-dependency
+                    // elimination, §6.1): results that no longer depend
+                    // on the variable operand.
+                    let zero = Some(TcgOp::MovI { dst, val: 0 });
+                    let simplified: Option<TcgOp> = match bop {
+                        BinOp::Mul if ka == Some(0) || kb == Some(0) => zero,
+                        BinOp::And if ka == Some(0) || kb == Some(0) => zero,
+                        BinOp::Xor | BinOp::Sub if a == b => zero,
+                        BinOp::Add | BinOp::Or | BinOp::Xor if ka == Some(0) => {
+                            Some(TcgOp::Mov { dst, src: b })
                         }
-                        TcgOp::Mov { dst, src } => {
-                            if let Some(v) = konst.get(src).copied() {
-                                konst.insert(*dst, v);
-                                out.push(TcgOp::MovI { dst: *dst, val: v });
-                                continue;
-                            }
-                            alias.insert(*dst, resolve(&alias, *src));
+                        BinOp::Add
+                        | BinOp::Sub
+                        | BinOp::Or
+                        | BinOp::Xor
+                        | BinOp::Shl
+                        | BinOp::Shr
+                            if kb == Some(0) =>
+                        {
+                            Some(TcgOp::Mov { dst, src: a })
                         }
-                        _ => unreachable!(),
+                        BinOp::Mul if kb == Some(1) => Some(TcgOp::Mov { dst, src: a }),
+                        BinOp::Mul if ka == Some(1) => Some(TcgOp::Mov { dst, src: b }),
+                        _ => None,
+                    };
+                    match simplified {
+                        Some(TcgOp::MovI { dst, val }) => {
+                            changed += 1;
+                            konst[dst.0 as usize] = Some(val);
+                            Some(TcgOp::MovI { dst, val })
+                        }
+                        Some(TcgOp::Mov { dst, src }) => {
+                            changed += 1;
+                            Some(copy(dst, src, &mut konst).unwrap_or(TcgOp::Mov { dst, src }))
+                        }
+                        _ => None,
                     }
-                    out.push(s);
-                    continue;
                 }
             }
             TcgOp::Setcond { cond, dst, a, b } => {
-                if let (Some(x), Some(y)) = (konst.get(a).copied(), konst.get(b).copied()) {
-                    let v = cond.apply(x, y);
-                    konst.insert(*dst, v);
-                    out.push(TcgOp::MovI { dst: *dst, val: v });
-                    changed += 1;
-                    continue;
+                match (konst[a.0 as usize], konst[b.0 as usize]) {
+                    (Some(x), Some(y)) => {
+                        let v = cond.apply(x, y);
+                        konst[dst.0 as usize] = Some(v);
+                        changed += 1;
+                        Some(TcgOp::MovI { dst, val: v })
+                    }
+                    _ => None,
                 }
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(new) = rewritten {
+            *op = new;
         }
-        out.push(op);
     }
-    block.ops = out;
     // Exit operands also go through the alias map.
     match &mut block.exit {
         TbExit::JumpReg(t) => *t = resolve(&alias, *t),
@@ -330,8 +344,8 @@ pub fn constant_fold(block: &mut TcgBlock) -> usize {
             let f = resolve(&alias, *flag);
             *flag = f;
             // A constant flag turns the conditional exit into a jump.
-            if let Some(v) = konst.get(&f) {
-                let target = if *v != 0 { *taken } else { *fallthrough };
+            if let Some(v) = konst[f.0 as usize] {
+                let target = if v != 0 { *taken } else { *fallthrough };
                 block.exit = TbExit::Jump(target);
                 changed += 1;
             }
@@ -341,15 +355,15 @@ pub fn constant_fold(block: &mut TcgBlock) -> usize {
     changed
 }
 
-fn resolve(alias: &HashMap<Temp, Temp>, t: Temp) -> Temp {
+fn resolve(alias: &[Option<Temp>], t: Temp) -> Temp {
     let mut cur = t;
-    while let Some(&next) = alias.get(&cur) {
+    while let Some(next) = alias[cur.0 as usize] {
         cur = next;
     }
     cur
 }
 
-fn rewrite_uses(op: &mut TcgOp, alias: &HashMap<Temp, Temp>) {
+fn rewrite_uses(op: &mut TcgOp, alias: &[Option<Temp>]) {
     let fix = |t: &mut Temp| *t = resolve(alias, *t);
     match op {
         TcgOp::Mov { src, .. } | TcgOp::SetReg { src, .. } => fix(src),
@@ -391,8 +405,9 @@ enum TrackedKind {
 struct Tracked {
     addr: Temp,
     kind: TrackedKind,
-    /// Fences encountered since this access.
-    fences_since: Vec<FenceKind>,
+    /// The kinds of the fences encountered since this access, one bit
+    /// per kind ([`fence_bit`]).
+    fences_since: u32,
     /// A superblock side exit was crossed since this access. Forwarding
     /// a *read* past a side exit stays sound (the value was already
     /// architecturally committed when the exit is taken), but deleting a
@@ -435,17 +450,30 @@ pub fn elim_may_cross(kind: ElimKind, f: FenceKind) -> bool {
     }
 }
 
-fn elim_allowed(kind: ElimKind, fences: &[FenceKind], policy: OptPolicy) -> bool {
-    fences.iter().all(|f| match policy {
-        OptPolicy::QemuUnsound => f.is_tcg(),
-        OptPolicy::Verified => elim_may_cross(kind, *f),
-    })
+fn fence_bit(f: FenceKind) -> u32 {
+    1 << f as u32
+}
+
+/// The fence kinds an elimination of `kind` may cross under `policy`,
+/// one bit per kind. Only TCG fences can qualify: neither policy lets an
+/// elimination cross any other kind.
+fn crossable(kind: ElimKind, policy: OptPolicy) -> u32 {
+    FenceKind::TCG_ALL
+        .into_iter()
+        .filter(|&f| match policy {
+            OptPolicy::QemuUnsound => true,
+            OptPolicy::Verified => elim_may_cross(kind, f),
+        })
+        .fold(0, |bits, f| bits | fence_bit(f))
 }
 
 /// Forwards loads and removes dead stores. Two addresses are considered
 /// the same only when they are the *same temp* (SSA makes this sound);
 /// distinct temps conservatively alias, flushing the tracking state.
 fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats) {
+    // An elimination is allowed when every fence crossed is crossable.
+    let allowed = |kind: ElimKind| crossable(kind, policy);
+    let (raw, rar, waw) = (allowed(ElimKind::Raw), allowed(ElimKind::Rar), allowed(ElimKind::Waw));
     let mut tracked: Vec<Tracked> = Vec::new();
     let ops = std::mem::take(&mut block.ops);
     let mut out: Vec<TcgOp> = Vec::with_capacity(ops.len());
@@ -454,7 +482,7 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
         match &op {
             TcgOp::Fence(k) => {
                 for t in &mut tracked {
-                    t.fences_since.push(*k);
+                    t.fences_since |= fence_bit(*k);
                 }
                 out.push(op);
             }
@@ -466,11 +494,11 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
             }
             TcgOp::Ld { dst, addr } => {
                 if let Some(t) = tracked.iter().find(|t| t.addr == *addr) {
-                    let (value, kind) = match t.kind {
-                        TrackedKind::Store { value } => (value, ElimKind::Raw),
-                        TrackedKind::Load { value } => (value, ElimKind::Rar),
+                    let (value, may_cross) = match t.kind {
+                        TrackedKind::Store { value } => (value, raw),
+                        TrackedKind::Load { value } => (value, rar),
                     };
-                    if elim_allowed(kind, &t.fences_since, policy) {
+                    if t.fences_since & !may_cross == 0 {
                         stats.loads_forwarded += 1;
                         out.push(TcgOp::Mov { dst: *dst, src: value });
                         continue;
@@ -482,7 +510,7 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
                 tracked.push(Tracked {
                     addr: *addr,
                     kind: TrackedKind::Load { value: *dst },
-                    fences_since: Vec::new(),
+                    fences_since: 0,
                     escaped: false,
                 });
                 out.push(op);
@@ -493,7 +521,7 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
                 if let Some(pos) = tracked.iter().position(|t| t.addr == *addr) {
                     let t = &tracked[pos];
                     if let TrackedKind::Store { .. } = t.kind {
-                        if !t.escaped && elim_allowed(ElimKind::Waw, &t.fences_since, policy) {
+                        if !t.escaped && t.fences_since & !waw == 0 {
                             // Find the previous store in `out` and drop it.
                             if let Some(idx) = out
                                 .iter()
@@ -513,7 +541,7 @@ fn forward_memory(block: &mut TcgBlock, policy: OptPolicy, stats: &mut OptStats)
                 tracked.push(Tracked {
                     addr: *addr,
                     kind: TrackedKind::Store { value: *src },
-                    fences_since: Vec::new(),
+                    fences_since: 0,
                     escaped: false,
                 });
                 out.push(op);
@@ -565,33 +593,39 @@ pub fn merge_fences_region(
     let ops = std::mem::take(&mut block.ops);
     let mut out: Vec<TcgOp> = Vec::with_capacity(ops.len());
     let mut removed = 0usize;
+    // The last fence kept in `out`, and what was kept after it: a
+    // memory access (which blocks merging into it) and a superblock
+    // marker (which makes a merge cross-boundary).
+    let mut last_fence: Option<usize> = None;
+    let (mut access_since, mut marker_since) = (false, false);
     for op in ops {
         match op {
             TcgOp::Fence(k) => {
                 debug_assert!(k.is_tcg(), "non-TCG fence in IR");
-                // Find a previous fence with no memory access in between.
-                let prev_fence = out.iter().rposition(|o| matches!(o, TcgOp::Fence(_)));
-                let mergeable = prev_fence
-                    .is_some_and(|idx| out[idx + 1..].iter().all(|o| !o.is_memory_access()));
-                if let (Some(idx), true) = (prev_fence, mergeable) {
-                    if let TcgOp::Fence(prev) = out[idx] {
+                match last_fence {
+                    Some(idx) if !access_since => {
+                        let TcgOp::Fence(prev) = out[idx] else { unreachable!("fence index") };
                         out[idx] = TcgOp::Fence(prev.tcg_join(k));
                         removed += 1;
                         if let Some(i) = k.tcg_index() {
                             by_kind[i] += 1;
                         }
-                        if out[idx + 1..]
-                            .iter()
-                            .any(|o| matches!(o, TcgOp::TbBoundary { .. } | TcgOp::SideExit { .. }))
-                        {
+                        if marker_since {
                             *cross += 1;
                         }
-                        continue;
+                    }
+                    _ => {
+                        last_fence = Some(out.len());
+                        (access_since, marker_since) = (false, false);
+                        out.push(TcgOp::Fence(k));
                     }
                 }
-                out.push(TcgOp::Fence(k));
             }
-            other => out.push(other),
+            other => {
+                access_since |= other.is_memory_access();
+                marker_since |= matches!(other, TcgOp::TbBoundary { .. } | TcgOp::SideExit { .. });
+                out.push(other);
+            }
         }
     }
     block.ops = out;
@@ -605,11 +639,14 @@ pub fn merge_fences_region(
 /// Removes ops whose results are unused (including irrelevant loads) and
 /// `SetReg`s overwritten before any read. Returns the number removed.
 pub fn dce(block: &mut TcgBlock) -> usize {
-    let mut live = vec![false; block.n_temps as usize];
-    match &block.exit {
-        TbExit::JumpReg(t) => live[t.0 as usize] = true,
-        TbExit::CondJump { flag, .. } => live[flag.0 as usize] = true,
-        _ => {}
+    dce_bounded(block, block.temp_bound())
+}
+
+/// [`dce`] with the block's [`TcgBlock::temp_bound`] given.
+fn dce_bounded(block: &mut TcgBlock, bound: usize) -> usize {
+    let mut live = vec![false; bound];
+    if let Some(t) = block.exit.use_temp() {
+        live[t.0 as usize] = true;
     }
     let mut keep = vec![true; block.ops.len()];
     let mut env_overwritten = [false; crate::ir::env::COUNT];
@@ -642,9 +679,7 @@ pub fn dce(block: &mut TcgBlock) -> usize {
             other => other.def().map(|d| live[d.0 as usize]).unwrap_or(true),
         };
         if needed {
-            for u in op.uses() {
-                live[u.0 as usize] = true;
-            }
+            op.for_each_use(|u| live[u.0 as usize] = true);
         } else {
             keep[i] = false;
         }

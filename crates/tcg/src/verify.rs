@@ -14,7 +14,7 @@
 //!   TCG fences, and the superblock marker ops ([`TcgOp::TbBoundary`],
 //!   [`TcgOp::SideExit`]) appear only inside superblocks. ("No ops
 //!   after a terminal exit" holds structurally: [`TcgBlock`] carries a
-//!   single [`TbExit`] after the op list, so there is nothing to
+//!   single [`TbExit`](crate::TbExit) after the op list, so there is nothing to
 //!   check.)
 //! * [`check_obligations`] — **Pass 2**, the fence-obligation checker:
 //!   given the frontend's *reference* IR and the optimized IR, it
@@ -41,7 +41,7 @@
 //! side conditions, and both are reported as [`VerifyError`]s.
 
 use crate::frontend::FencePlacement;
-use crate::ir::{env, TbExit, TcgBlock, TcgOp, Temp};
+use crate::ir::{env, TcgBlock, TcgOp, Temp};
 use crate::opt::{elim_may_cross, ElimKind, OptPolicy};
 use risotto_memmodel::FenceKind;
 use std::collections::HashMap;
@@ -115,13 +115,19 @@ pub fn lint(block: &TcgBlock, in_superblock: bool) -> Result<(), VerifyError> {
     let n = block.n_temps;
     let mut defined = vec![false; n as usize];
     for (i, op) in block.ops.iter().enumerate() {
-        for Temp(u) in op.uses() {
-            if u >= n {
-                return Err(err(Some(i), format!("use of out-of-range temp t{u} (n_temps {n})")));
+        // The first bad use, in operand order.
+        let mut bad_use = None;
+        op.for_each_use(|Temp(u)| {
+            if bad_use.is_none() {
+                if u >= n {
+                    bad_use = Some(format!("use of out-of-range temp t{u} (n_temps {n})"));
+                } else if !defined[u as usize] {
+                    bad_use = Some(format!("use of t{u} before definition"));
+                }
             }
-            if !defined[u as usize] {
-                return Err(err(Some(i), format!("use of t{u} before definition")));
-            }
+        });
+        if let Some(obligation) = bad_use {
+            return Err(err(Some(i), obligation));
         }
         if let Some(Temp(d)) = op.def() {
             if d >= n {
@@ -144,12 +150,7 @@ pub fn lint(block: &TcgBlock, in_superblock: bool) -> Result<(), VerifyError> {
             _ => {}
         }
     }
-    let exit_temp = match &block.exit {
-        TbExit::JumpReg(t) => Some(*t),
-        TbExit::CondJump { flag, .. } => Some(*flag),
-        _ => None,
-    };
-    if let Some(Temp(u)) = exit_temp {
+    if let Some(Temp(u)) = block.exit.use_temp() {
         if u >= n {
             return Err(err(None, format!("exit uses out-of-range temp t{u} (n_temps {n})")));
         }
@@ -673,7 +674,7 @@ fn obligations_impl(
 mod tests {
     use super::*;
     use crate::frontend::FrontendConfig;
-    use crate::ir::Helper;
+    use crate::ir::{Helper, TbExit};
     use crate::opt::{optimize, PassConfig};
     use risotto_guest_x86::{Assembler, Gpr};
 
